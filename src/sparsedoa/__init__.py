@@ -16,7 +16,6 @@ from .geometry import (
     is_hole_free,
     mra_lookup,
     mra_search,
-    virtual_ula,
 )
 from .signals import (
     Covariance,
@@ -70,6 +69,7 @@ from .neural import (
     mlp_backward,
     mlp_forward,
     predict_covariance,
+    repair_input,
     save_dataset,
     save_model,
     train,
@@ -83,4 +83,5 @@ from .harness import (
     run_sweep,
     run_trial,
     train_variant,
+    trial_snapshots,
 )

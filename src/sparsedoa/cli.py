@@ -15,7 +15,7 @@ from . import harness, neural
 from .coarray import flatten_features, redundancy_average
 from .geometry import ArrayGeometry, difference_coarray, essential_sensors, is_hole_free, mra_lookup
 from .harness import ExperimentConfig, preset
-from .signals import draw_angles, sample_covariance, scene_from_snr, simulate_snapshots, stream_rng
+from .signals import sample_covariance
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -87,30 +87,23 @@ def cmd_geometry(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     geom = config.geometry()
-    rng = stream_rng(config.master_seed, "scene", float(args.snr), args.trial)
-    angles = draw_angles(config.k, config.angle_min, config.angle_max,
-                         config.min_gap, rng)
-    scene = scene_from_snr(angles, args.snr)
-    y = simulate_snapshots(geom, scene, config.n_snapshots, rng)
+    scene, y = harness.trial_snapshots(config, geom, args.snr, args.trial)
     if args.emit == "snapshots":
         features = np.concatenate([y.real.reshape(-1, order="F"),
                                    y.imag.reshape(-1, order="F")])
-        d_out = 0
         meta = {"kind": "snapshots", "shape": list(y.shape)}
     elif args.emit == "covariance":
         features = flatten_features(sample_covariance(y))
-        d_out = 0
         meta = {"kind": "covariance", "dim": geom.size}
     else:
         signal = redundancy_average(sample_covariance(y), geom)
         features = np.concatenate([signal.z.real, signal.z.imag,
                                    signal.available.astype(np.float64)])
-        d_out = 0
         meta = {"kind": "coarray", "m_v": signal.m_v}
     meta.update({"snr_db": args.snr, "trial": args.trial,
-                 "angles_deg": [float(a) for a in angles]})
+                 "angles_deg": list(scene.angles_deg)})
     dataset = neural.TrainingDataset(
-        inputs=features[None, :], targets=np.zeros((1, d_out)), meta=meta,
+        inputs=features[None, :], targets=np.zeros((1, 0)), meta=meta,
     )
     out = _out_dir(args) / f"simulate_{args.emit}.bin"
     neural.save_dataset(dataset, out)
@@ -161,27 +154,17 @@ def _load_models(args) -> dict:
 def cmd_eval(args) -> int:
     config = _load_config(args)
     models = _load_models(args)
-    out_dir = _out_dir(args)
-    if args.emit == "spectrum":
-        methods = tuple(args.methods.split(",")) if args.methods else None
-        grid, spectra, scene = harness.emit_spectrum(
-            config, args.snr, trial=args.trial, models=models, methods=methods)
-        path = out_dir / f"spectrum_snr{args.snr:g}.csv"
-        path.write_text(harness.spectrum_csv(grid, spectra))
-        print(f"true angles: {[round(a, 3) for a in scene.angles_deg]}")
-        print(f"wrote {path}")
-    else:
-        methods = tuple(args.methods.split(",")) if args.methods else config.estimation_methods
-        records = [
-            harness.run_trial(config, method, args.snr, args.trial, models=models)
-            for method in methods
-        ]
-        path = out_dir / f"records_snr{args.snr:g}_trial{args.trial}.csv"
-        path.write_text(harness.records_csv(records))
-        for r in records:
-            status = r.error or ("res-fail" if r.resolution_failure else "ok")
-            print(f"{r.method:16s} mse={np.mean(r.squared_errors):.4g} deg^2 [{status}]")
-        print(f"wrote {path}")
+    methods = tuple(args.methods.split(",")) if args.methods else config.estimation_methods
+    records = [
+        harness.run_trial(config, method, args.snr, args.trial, models=models)
+        for method in methods
+    ]
+    path = _out_dir(args) / f"records_snr{args.snr:g}_trial{args.trial}.csv"
+    path.write_text(harness.records_csv(records))
+    for r in records:
+        status = r.error or ("res-fail" if r.resolution_failure else "ok")
+        print(f"{r.method:16s} mse={np.mean(r.squared_errors):.4g} deg^2 [{status}]")
+    print(f"wrote {path}")
     return 0
 
 
@@ -254,11 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", help="existing dataset file (else generated)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate methods on one trial")
+    p = sub.add_parser("eval", help="per-method trial records on one trial")
     _add_common(p)
     p.add_argument("--snr", type=float, default=0.0)
     p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--emit", choices=["spectrum", "records"], default="records")
     p.add_argument("--methods", help="comma-separated method subset")
     p.add_argument("--hybrid-model")
     p.add_argument("--data-driven-model")

@@ -22,7 +22,6 @@ __all__ = [
     "essential_sensors",
     "mra_lookup",
     "mra_search",
-    "virtual_ula",
     "MRA_TABLE_LIMIT",
 ]
 
@@ -235,8 +234,3 @@ def _covers_all_lags(positions, aperture: int) -> bool:
         for b in positions[i + 1 :]:
             seen |= 1 << (b - a)
     return seen == ((1 << (aperture + 1)) - 2)
-
-
-def virtual_ula(m_v: int) -> ArrayGeometry:
-    """Contiguous virtual array 0..m_v-1 used after spatial smoothing."""
-    return ArrayGeometry(tuple(range(m_v)))

@@ -32,17 +32,17 @@ from .neural import (
     generate_dataset,
     build_model,
     predict_covariance,
+    repair_input,
     train,
 )
 from .signals import (
     draw_angles,
-    inject_failures,
     sample_covariance,
     scene_from_snr,
     simulate_snapshots,
     stream_rng,
 )
-from .spectral import crb, music_spectrum, pick_peaks
+from .spectral import MusicSpectrum, crb, music_spectrum, pick_peaks
 
 __all__ = [
     "METHOD_NONE",
@@ -54,6 +54,7 @@ __all__ = [
     "TrialRecord",
     "SweepResult",
     "preset",
+    "trial_snapshots",
     "run_trial",
     "run_sweep",
     "emit_spectrum",
@@ -140,11 +141,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        for key in ("positions", "test_snrs_db", "test_failures", "methods"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return cls(**json.loads(text))
 
 
 def preset(name: str, **overrides) -> ExperimentConfig:
@@ -185,93 +182,76 @@ class TrialRecord:
     error: str | None = None
 
 
-def _trial_scene(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float, trial: int):
+def trial_snapshots(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float,
+                    trial: int):
+    """Scene and M x N snapshots of one trial, drawn from the substream
+    (master, "scene", snr, trial) that every method and command shares."""
     rng = stream_rng(config.master_seed, "scene", float(snr_db), trial)
     angles = draw_angles(config.k, config.angle_min, config.angle_max,
                          config.min_gap, rng)
     scene = scene_from_snr(angles, snr_db)
-    y = simulate_snapshots(geom, scene, config.n_snapshots, rng)
-    return scene, sample_covariance(y)
+    return scene, simulate_snapshots(geom, scene, config.n_snapshots, rng)
 
 
-def _music_input(config: ExperimentConfig, geom: ArrayGeometry, method: str,
-                 r_full, models: dict[str, MlpModel] | None):
-    """Covariance each method hands to MUSIC (repaired, damaged, or intact)."""
-    failures = frozenset(config.test_failures)
+def _spectrum(config: ExperimentConfig, geom: ArrayGeometry, method: str,
+              r_full, models: dict[str, MlpModel] | None) -> MusicSpectrum:
+    """MUSIC pseudospectrum of the covariance the method hands to MUSIC
+    (intact, damaged, or repaired)."""
     if method == METHOD_NONE:
-        return spatial_smoothing(redundancy_average(r_full, geom))
-    if method == METHOD_FAILED:
-        r_damaged = inject_failures(r_full, failures)
-        return spatial_smoothing(
-            redundancy_average(r_damaged, geom.with_failures(failures))
-        )
-    if method in _DNN_METHODS:
+        r_music = spatial_smoothing(redundancy_average(r_full, geom))
+    elif method == METHOD_FAILED:  # the damaged matrix the hybrid network repairs
+        r_music = repair_input(HYBRID, r_full, geom, config.test_failures)
+    elif method in _DNN_METHODS:
         if not models or method not in models:
             raise ValueError(f"method {method!r} needs a trained model")
-        r_damaged = inject_failures(r_full, failures)
-        if method == METHOD_HYBRID:
-            r_in = spatial_smoothing(
-                redundancy_average(r_damaged, geom.with_failures(failures))
-            )
-        else:
-            r_in = r_damaged
-        return predict_covariance(models[method], r_in)
-    raise ValueError(f"unknown estimation method {method!r}")
+        r_in = repair_input(_DNN_METHODS[method], r_full, geom, config.test_failures)
+        r_music = predict_covariance(models[method], r_in)
+    else:
+        raise ValueError(f"unknown estimation method {method!r}")
+    return music_spectrum(r_music, config.k, grid_step=config.grid_step)
 
 
-def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str,
-              r_full, models: dict[str, MlpModel] | None):
-    r_music = _music_input(config, geom, method, r_full, models)
-    spectrum = music_spectrum(r_music, config.k, grid_step=config.grid_step)
-    return pick_peaks(spectrum, config.k)
+def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db: float,
+              trial: int, scene, r_full, models) -> TrialRecord:
+    """One method's record on one trial; a numeric failure books an errored record."""
+    tic = time.perf_counter()
+    estimated = squared = (float("nan"),) * config.k
+    resolution_failure, error = True, None
+    try:
+        peaks = pick_peaks(_spectrum(config, geom, method, r_full, models), config.k)
+        errs = np.sort(peaks.angles_deg) - np.asarray(scene.angles_deg)
+        estimated = tuple(float(a) for a in peaks.angles_deg)
+        squared = tuple(float(e * e) for e in errs)
+        resolution_failure = bool(peaks.resolution_failure)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return TrialRecord(
+        trial=trial,
+        snr_db=snr_db,
+        method=method,
+        estimated_deg=estimated,
+        true_deg=tuple(float(a) for a in scene.angles_deg),
+        squared_errors=squared,
+        resolution_failure=resolution_failure,
+        wall_seconds=time.perf_counter() - tic,
+        error=error,
+    )
 
 
 def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
               models: dict[str, MlpModel] | None = None) -> TrialRecord:
     """Runs one full pipeline trial; deterministic in (master_seed, snr, trial)."""
     geom = config.geometry()
-    scene, r_full = _trial_scene(config, geom, snr_db, trial)
-    return _record_estimate(config, geom, method, snr_db, trial, scene, r_full, models)
-
-
-def _record_estimate(config, geom, method, snr_db, trial, scene, r_full, models) -> TrialRecord:
-    truths = np.asarray(scene.angles_deg)
-    tic = time.perf_counter()
-    try:
-        peaks = _estimate(config, geom, method, r_full, models)
-        wall = time.perf_counter() - tic
-        errs = np.sort(peaks.angles_deg) - truths
-        return TrialRecord(
-            trial=trial,
-            snr_db=snr_db,
-            method=method,
-            estimated_deg=tuple(float(a) for a in peaks.angles_deg),
-            true_deg=tuple(float(a) for a in truths),
-            squared_errors=tuple(float(e * e) for e in errs),
-            resolution_failure=bool(peaks.resolution_failure),
-            wall_seconds=wall,
-        )
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        wall = time.perf_counter() - tic
-        nan = (float("nan"),) * config.k
-        return TrialRecord(
-            trial=trial,
-            snr_db=snr_db,
-            method=method,
-            estimated_deg=nan,
-            true_deg=tuple(float(a) for a in truths),
-            squared_errors=nan,
-            resolution_failure=True,
-            wall_seconds=wall,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    scene, y = trial_snapshots(config, geom, snr_db, trial)
+    return _estimate(config, geom, method, snr_db, trial, scene, sample_covariance(y), models)
 
 
 def _run_item(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float,
               trial: int, models) -> tuple[list[TrialRecord], float]:
-    scene, r_full = _trial_scene(config, geom, snr_db, trial)
+    scene, y = trial_snapshots(config, geom, snr_db, trial)
+    r_full = sample_covariance(y)
     records = [
-        _record_estimate(config, geom, method, snr_db, trial, scene, r_full, models)
+        _estimate(config, geom, method, snr_db, trial, scene, r_full, models)
         for method in config.estimation_methods
     ]
     crb_diag = float("nan")
@@ -289,13 +269,11 @@ def _init_worker(config: ExperimentConfig, models) -> None:
     _WORKER_CTX["models"] = models
 
 
-def _pool_item(args) -> tuple[tuple[int, int], list[TrialRecord], float]:
+def _pool_item(args) -> tuple[list[TrialRecord], float]:
     snr_idx, trial = args
     config = _WORKER_CTX["config"]
-    snr_db = config.test_snrs_db[snr_idx]
-    records, crb_diag = _run_item(config, _WORKER_CTX["geom"], snr_db, trial,
-                                  _WORKER_CTX["models"])
-    return (snr_idx, trial), records, crb_diag
+    return _run_item(config, _WORKER_CTX["geom"], config.test_snrs_db[snr_idx], trial,
+                     _WORKER_CTX["models"])
 
 
 @dataclass
@@ -312,36 +290,42 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
 
     One work item per (SNR, trial) simulates the scene once and runs all
     configured methods on it. Items are reduced in (SNR, trial) order, so
-    the aggregated table does not depend on the worker count.
+    the aggregated table does not depend on the worker count. Every
+    configured repair method needs a model of its variant trained on this
+    geometry; a missing or mismatched one fails before the first trial.
     """
-    needed = set(config.estimation_methods) & set(_DNN_METHODS)
-    missing = needed - set(models or {})
-    if missing:
-        raise ValueError(f"missing trained models for methods {sorted(missing)}")
     geom = config.geometry()
+    needed = sorted(set(config.estimation_methods) & set(_DNN_METHODS))
+    missing = [m for m in needed if m not in (models or {})]
+    if missing:
+        raise ValueError(f"missing trained models for methods {missing}")
+    for method in needed:
+        model, variant = models[method], _DNN_METHODS[method]
+        trained_on = tuple(model.meta.get("geometry", ()))
+        if model.variant != variant or trained_on != geom.positions:
+            raise ValueError(f"{method!r} needs a {variant!r} model trained on geometry "
+                             f"{list(geom.positions)}, got a {model.variant!r} model "
+                             f"trained on {list(trained_on)}")
     workers = config.workers if workers is None else workers
     items = [
         (snr_idx, trial)
         for snr_idx in range(len(config.test_snrs_db))
         for trial in range(config.q_trials)
     ]
-    results: dict[tuple[int, int], tuple[list[TrialRecord], float]] = {}
     if workers <= 1:
-        for snr_idx, trial in items:
-            snr_db = config.test_snrs_db[snr_idx]
-            results[(snr_idx, trial)] = _run_item(config, geom, snr_db, trial, models)
+        outcomes = [_run_item(config, geom, config.test_snrs_db[snr_idx], trial, models)
+                    for snr_idx, trial in items]
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(config, models)
         ) as pool:
             chunk = max(1, len(items) // (8 * workers))
-            for key, records, crb_diag in pool.map(_pool_item, items, chunksize=chunk):
-                results[key] = (records, crb_diag)
+            outcomes = list(pool.map(_pool_item, items, chunksize=chunk))
 
     rows: list[dict] = []
     all_records: list[TrialRecord] = []
     for snr_idx, snr_db in enumerate(config.test_snrs_db):
-        trial_results = [results[(snr_idx, t)] for t in range(config.q_trials)]
+        trial_results = outcomes[snr_idx * config.q_trials:(snr_idx + 1) * config.q_trials]
         for records, _ in trial_results:
             all_records.extend(records)
         crb_vals = np.asarray([c for _, c in trial_results])
@@ -350,11 +334,7 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
             recs = [records[m_idx] for records, _ in trial_results]
             ok = [r for r in recs if r.error is None]
             failed = sum(1 for r in recs if r.resolution_failure or r.error is not None)
-            if ok:
-                sq = np.asarray([r.squared_errors for r in ok])
-                mse = float(np.mean(sq))
-            else:
-                mse = float("nan")
+            mse = float(np.mean([r.squared_errors for r in ok])) if ok else float("nan")
             rows.append({
                 "method": method,
                 "snr_db": snr_db,
@@ -372,15 +352,11 @@ def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
     """Pseudospectra of every method on one shared trial realization."""
     geom = config.geometry()
     methods = methods if methods is not None else config.estimation_methods
-    scene, r_full = _trial_scene(config, geom, snr_db, trial)
-    grid = None
-    spectra: dict[str, np.ndarray] = {}
-    for method in methods:
-        r_music = _music_input(config, geom, method, r_full, models)
-        spectrum = music_spectrum(r_music, config.k, grid_step=config.grid_step)
-        grid = spectrum.grid
-        spectra[method] = spectrum.values
-    return grid, spectra, scene
+    scene, y = trial_snapshots(config, geom, snr_db, trial)
+    r_full = sample_covariance(y)
+    spectra = {method: _spectrum(config, geom, method, r_full, models) for method in methods}
+    grid = next(iter(spectra.values())).grid if spectra else None
+    return grid, {method: s.values for method, s in spectra.items()}, scene
 
 
 # ---------------------------------------------------------------------------

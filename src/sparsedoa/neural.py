@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -59,6 +60,7 @@ __all__ = [
     "mse_loss",
     "adam_init",
     "adam_step",
+    "repair_input",
     "generate_dataset",
     "train",
     "predict_covariance",
@@ -367,13 +369,25 @@ class TrainingDataset:
         return digest.hexdigest()
 
 
+def repair_input(variant: str, r_full: Covariance, geom: ArrayGeometry,
+                 failures) -> Covariance:
+    """Damaged covariance the variant's network repairs: the failed array's
+    smoothed matrix for hybrid (``redundancy_average`` reads only active
+    sensors, so no zeroed copy is needed), the physical matrix with failed
+    rows and columns zeroed for data-driven."""
+    if variant == HYBRID:
+        return spatial_smoothing(redundancy_average(r_full, geom.with_failures(failures)))
+    if variant == DATA_DRIVEN:
+        return inject_failures(r_full, failures)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
                      n_samples: int, seed: int) -> TrainingDataset:
     """Simulates ``n_samples`` random scenes and packs feature rows.
 
     Each sample draws angles, SNR, and a failure set, simulates snapshots
-    once, and derives the input (damaged smoothed covariance for hybrid,
-    damaged physical covariance for data-driven) and the target (smoothed
+    once, and derives the input (``repair_input``) and the target (smoothed
     covariance of the intact array from the same snapshots).
     """
     if variant not in (HYBRID, DATA_DRIVEN):
@@ -391,14 +405,7 @@ def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
         y = simulate_snapshots(geom, scene, policy.n_snapshots, rng)
         r_full = sample_covariance(y)
         targets[i] = flatten_features(spatial_smoothing(redundancy_average(r_full, geom)))
-        r_failed = inject_failures(r_full, failures)
-        if variant == HYBRID:
-            damaged = spatial_smoothing(
-                redundancy_average(r_failed, geom.with_failures(failures))
-            )
-            inputs[i] = flatten_features(damaged)
-        else:
-            inputs[i] = flatten_features(r_failed)
+        inputs[i] = flatten_features(repair_input(variant, r_full, geom, failures))
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError("dataset contains non-finite features")
     meta = {
@@ -558,18 +565,27 @@ def save_model(model: MlpModel, path) -> None:
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
+def _check_body_size(fh, path, expected: int) -> None:
+    """Rejects a file whose bytes after the header line are not exactly
+    what the header's dims imply (truncated or with trailing data)."""
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != expected:
+        raise ValueError(f"{path}: header implies {expected} data bytes, found {found}")
+
+
 def load_model(path) -> MlpModel:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         if header.get("format") != MODEL_MAGIC:
             raise ValueError(f"not a model file: {path}")
         dims = header["layer_dims"]
+        _check_body_size(fh, path, 8 * sum((a + 1) * b for a, b in zip(dims, dims[1:])))
         weights, biases = [], []
         for fan_in, fan_out in zip(dims, dims[1:]):
             w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8")
             weights.append(w.reshape(fan_in, fan_out).copy())
             biases.append(np.frombuffer(fh.read(8 * fan_out), dtype="<f8").copy())
-    return MlpModel(
+    model = MlpModel(
         variant=header["variant"],
         layer_dims=dims,
         weights=weights,
@@ -579,6 +595,11 @@ def load_model(path) -> MlpModel:
         target_stats=NormStats.from_jsonable(header["target_stats"]) if header["target_stats"] else None,
         meta=header.get("meta", {}),
     )
+    stats = [s for s in (model.input_stats, model.target_stats) if s is not None]
+    arrays = model.parameters() + [a for s in stats for a in (s.minimum, s.maximum)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{path}: non-finite parameters or normalization stats")
+    return model
 
 
 def save_dataset(dataset: TrainingDataset, path) -> None:
@@ -604,6 +625,7 @@ def load_dataset(path) -> TrainingDataset:
         if header.get("format") != DATASET_MAGIC:
             raise ValueError(f"not a dataset file: {path}")
         n, d_in, d_out = header["n_samples"], header["d_in"], header["d_out"]
+        _check_body_size(fh, path, 4 * n * (d_in + d_out))
         records = np.frombuffer(fh.read(4 * n * (d_in + d_out)), dtype="<f4")
     records = records.reshape(n, d_in + d_out).astype(np.float64)
     return TrainingDataset(

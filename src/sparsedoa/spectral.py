@@ -49,10 +49,12 @@ class PeakResult(NamedTuple):
 def hermitian_eig(r, rtol: float = 1e-8):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Verifies Hermitian symmetry to the given relative tolerance before
-    decomposing, so silent conjugation bugs upstream fail loudly.
+    Verifies finiteness and Hermitian symmetry (to ``rtol``) before
+    decomposing, so overflow or conjugation bugs upstream fail loudly.
     """
     values = cov_values(r)
+    if not np.isfinite(values).all():
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
     scale = np.linalg.norm(values)
     if scale > 0 and np.linalg.norm(values - values.conj().T) > rtol * scale:
         raise ValueError("input is not Hermitian to tolerance")

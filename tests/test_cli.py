@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 
 from sparsedoa.cli import main
-from sparsedoa.harness import preset
+from sparsedoa.coarray import flatten_features
+from sparsedoa.harness import ExperimentConfig, preset, run_trial, trial_snapshots
+from sparsedoa.neural import load_dataset
+from sparsedoa.signals import sample_covariance
 
 
 @pytest.fixture()
@@ -100,6 +105,17 @@ class TestSimulateCommand:
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header["format"] == "sparsedoa-dataset-v1"
         assert header["meta"]["kind"] == emit
+
+    def test_covariance_is_the_trial_realization(self, mini_config, tmp_path):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(mini_config), "--out", str(out_dir),
+                     "--emit", "covariance", "--snr", "10", "--trial", "1"]) == 0
+        written = load_dataset(out_dir / "simulate_covariance.bin")
+        cfg = ExperimentConfig.from_json(mini_config.read_text())
+        _, y = trial_snapshots(cfg, cfg.geometry(), 10.0, 1)
+        expected = flatten_features(sample_covariance(y)).astype(np.float32)
+        npt.assert_array_equal(written.inputs[0], expected)
+        assert written.meta["angles_deg"] == list(run_trial(cfg, "none", 10.0, 1).true_deg)
 
 
 class TestTrainCommand:

@@ -8,7 +8,6 @@ from sparsedoa.geometry import (
     is_hole_free,
     mra_lookup,
     mra_search,
-    virtual_ula,
 )
 
 
@@ -176,9 +175,3 @@ class TestMraSearch:
         assert found.aperture == lookup.aperture
         co = difference_coarray(found)
         assert is_hole_free(co, found.aperture)
-
-
-def test_virtual_ula():
-    geom = virtual_ula(5)
-    assert geom.positions == (0, 1, 2, 3, 4)
-    assert is_hole_free(difference_coarray(geom), 4)

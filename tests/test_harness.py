@@ -21,6 +21,7 @@ from sparsedoa.harness import (
     spectrum_csv,
     train_variant,
 )
+from sparsedoa.neural import load_model, save_model
 from sparsedoa.spectral import doa_mse
 
 # small paired-method configuration used throughout this module
@@ -160,6 +161,35 @@ class TestRunSweep:
         cfg = dataclasses.replace(MINI, methods=(METHOD_NONE, METHOD_DATA_DRIVEN))
         with pytest.raises(ValueError, match="missing trained models"):
             run_sweep(cfg)
+
+
+class TestSweepModelChecks:
+    """A model that does not fit the sweep fails before the first trial
+    instead of being booked as error trials or run on the wrong array."""
+
+    @pytest.fixture(scope="class")
+    def dd_model(self):
+        cfg = preset("desk", m=4, k=2, n_train_samples=40, epochs=1,
+                     batch_size=16, n_snapshots=32)
+        return train_variant(cfg, "data-driven")[0]
+
+    def test_matching_model_from_file_runs(self, dd_model, tmp_path):
+        save_model(dd_model, tmp_path / "model.bin")
+        cfg = dataclasses.replace(MINI, methods=(METHOD_DATA_DRIVEN,), q_trials=1)
+        result = run_sweep(cfg, models={METHOD_DATA_DRIVEN: load_model(tmp_path / "model.bin")})
+        assert all(r.error is None for r in result.records)
+
+    def test_wrong_variant_rejected(self, dd_model):
+        cfg = dataclasses.replace(MINI, methods=(METHOD_NONE, METHOD_HYBRID))
+        with pytest.raises(ValueError, match="got a 'data-driven' model"):
+            run_sweep(cfg, models={METHOD_HYBRID: dd_model})
+
+    def test_wrong_geometry_rejected(self, dd_model):
+        # mirrored 4-sensor MRA: same feature widths, different array
+        cfg = dataclasses.replace(MINI, positions=(0, 2, 5, 6),
+                                  methods=(METHOD_NONE, METHOD_DATA_DRIVEN))
+        with pytest.raises(ValueError, match="geometry"):
+            run_sweep(cfg, models={METHOD_DATA_DRIVEN: dd_model})
 
 
 class TestPaperGeometry:

@@ -1,6 +1,10 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedoa.coarray import flatten_features, spatial_smoothing, redundancy_average
 from sparsedoa.geometry import mra_lookup
@@ -24,6 +28,7 @@ from sparsedoa.neural import (
     mlp_forward,
     mse_loss,
     predict_covariance,
+    repair_input,
     save_dataset,
     save_model,
     train,
@@ -34,6 +39,7 @@ from sparsedoa.signals import (
     sample_covariance,
     scene_from_snr,
     simulate_snapshots,
+    stream_rng,
 )
 
 GEOM5 = mra_lookup(5)
@@ -257,6 +263,55 @@ class TestGenerateDataset:
         assert loaded.meta["variant"] == DATA_DRIVEN
         assert loaded.n_samples == 3
 
+    @pytest.mark.parametrize("cut", [-8, 8])
+    def test_file_rejects_short_or_trailing_data(self, tmp_path, cut):
+        path = tmp_path / "ds.bin"
+        save_dataset(generate_dataset(DATA_DRIVEN, GEOM5, DESK_POLICY, 3, seed=4), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+        with pytest.raises(ValueError, match="ds.bin"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    def test_inputs_follow_repair_input(self, variant):
+        # replays the first sample's draws: the training input is the
+        # same damaged covariance the sweep hands the network
+        ds = generate_dataset(variant, GEOM5, DESK_POLICY, 1, seed=6)
+        rng = stream_rng(6, "dataset", variant)
+        scene, _ = DESK_POLICY.draw_scene(rng)
+        failures = DESK_POLICY.draw_failures(GEOM5.size, rng)
+        r = sample_covariance(simulate_snapshots(GEOM5, scene, DESK_POLICY.n_snapshots, rng))
+        npt.assert_array_equal(ds.inputs[0],
+                               flatten_features(repair_input(variant, r, GEOM5, failures)))
+
+
+class TestRepairInput:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 7), data=st.data())
+    def test_hybrid_needs_no_injection(self, m, data):
+        # oracle: the zeroed copy that redundancy averaging never reads
+        geom = mra_lookup(m)
+        failures = data.draw(st.frozensets(st.integers(1, m), min_size=1, max_size=2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+        r = sample_covariance(y)
+        got = repair_input(HYBRID, r, geom, failures)
+        want = spatial_smoothing(redundancy_average(inject_failures(r, failures),
+                                                    geom.with_failures(failures)))
+        assert got.role == want.role
+        npt.assert_array_equal(got.values, want.values)
+
+    def test_data_driven_is_injected_physical_matrix(self):
+        r = analytic_covariance(GEOM5, scene_from_snr((15.0, 30.0), 0.0))
+        got = repair_input(DATA_DRIVEN, r, GEOM5, {2, 4})
+        npt.assert_array_equal(got.values, inject_failures(r, {2, 4}).values)
+        assert got.role == "failed"
+
+    def test_unknown_variant(self):
+        r = analytic_covariance(GEOM5, scene_from_snr((15.0,), 0.0))
+        with pytest.raises(ValueError, match="variant"):
+            repair_input("bogus", r, GEOM5, {1})
+
 
 def toy_identity_dataset(n=100, dim=8, seed=0):
     from sparsedoa.neural import TrainingDataset
@@ -399,4 +454,27 @@ class TestModelFile:
         path = tmp_path / "bogus.bin"
         path.write_bytes(b'{"format": "nope"}\n')
         with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize("cut", [-8, 8])
+    def test_rejects_short_or_trailing_data(self, tmp_path, trained_pair, cut):
+        path = tmp_path / "model.bin"
+        save_model(trained_pair[HYBRID], path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+        with pytest.raises(ValueError, match="model.bin"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", ["weight", "bias", "input_stats", "target_stats"])
+    def test_rejects_non_finite_values(self, tmp_path, trained_pair, where):
+        model = copy.deepcopy(trained_pair[HYBRID])
+        if where == "weight":
+            model.weights[0][0, 0] = np.nan
+        elif where == "bias":
+            model.biases[1][3] = np.inf
+        else:
+            getattr(model, where).maximum[0] = np.inf
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match="non-finite"):
             load_model(path)

@@ -49,6 +49,16 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # one overflowed entry must not yield a finite eigendecomposition
+        r = random_hermitian(5, np.random.default_rng(0))
+        r[2, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            hermitian_eig(r)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            music_spectrum(r, 2)
+
 
 class TestMusicSpectrum:
     def test_exact_single_source_peak(self):
