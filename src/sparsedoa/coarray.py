@@ -45,9 +45,6 @@ class CoarraySignal:
         if self.z.shape != (2 * self.m_v - 1,) or self.available.shape != self.z.shape:
             raise ValueError("coarray signal must cover 2*m_v - 1 lags")
 
-    def lag_value(self, lag: int) -> complex:
-        return self.z[lag + self.m_v - 1]
-
     @property
     def has_holes(self) -> bool:
         return not bool(self.available.all())

@@ -42,7 +42,7 @@ from .signals import (
     simulate_snapshots,
     stream_rng,
 )
-from .spectral import MusicSpectrum, crb, music_spectrum, pick_peaks
+from .spectral import MusicSpectrum, crb, doa_mse, music_spectrum, pick_peaks
 
 __all__ = [
     "METHOD_NONE",
@@ -202,8 +202,6 @@ def _spectrum(config: ExperimentConfig, geom: ArrayGeometry, method: str,
     elif method == METHOD_FAILED:  # the damaged matrix the hybrid network repairs
         r_music = repair_input(HYBRID, r_full, geom, config.test_failures)
     elif method in _DNN_METHODS:
-        if not models or method not in models:
-            raise ValueError(f"method {method!r} needs a trained model")
         r_in = repair_input(_DNN_METHODS[method], r_full, geom, config.test_failures)
         r_music = predict_covariance(models[method], r_in)
     else:
@@ -238,9 +236,28 @@ def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db
     )
 
 
+def _check_models(config: ExperimentConfig, methods, models) -> None:
+    """Every repair method among ``methods`` needs a model of its variant
+    trained on the config's geometry; a missing or mismatched one fails
+    before any scene is drawn."""
+    needed = sorted(set(methods) & set(_DNN_METHODS))
+    missing = [m for m in needed if m not in (models or {})]
+    if missing:
+        raise ValueError(f"missing trained models for methods {missing}")
+    positions = config.geometry().positions
+    for method in needed:
+        model, variant = models[method], _DNN_METHODS[method]
+        trained_on = tuple(model.meta.get("geometry", ()))
+        if model.variant != variant or trained_on != positions:
+            raise ValueError(f"{method!r} needs a {variant!r} model trained on geometry "
+                             f"{list(positions)}, got a {model.variant!r} model "
+                             f"trained on {list(trained_on)}")
+
+
 def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
               models: dict[str, MlpModel] | None = None) -> TrialRecord:
     """Runs one full pipeline trial; deterministic in (master_seed, snr, trial)."""
+    _check_models(config, (method,), models)
     geom = config.geometry()
     scene, y = trial_snapshots(config, geom, snr_db, trial)
     return _estimate(config, geom, method, snr_db, trial, scene, sample_covariance(y), models)
@@ -290,22 +307,10 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
 
     One work item per (SNR, trial) simulates the scene once and runs all
     configured methods on it. Items are reduced in (SNR, trial) order, so
-    the aggregated table does not depend on the worker count. Every
-    configured repair method needs a model of its variant trained on this
-    geometry; a missing or mismatched one fails before the first trial.
+    the aggregated table does not depend on the worker count.
     """
+    _check_models(config, config.estimation_methods, models)
     geom = config.geometry()
-    needed = sorted(set(config.estimation_methods) & set(_DNN_METHODS))
-    missing = [m for m in needed if m not in (models or {})]
-    if missing:
-        raise ValueError(f"missing trained models for methods {missing}")
-    for method in needed:
-        model, variant = models[method], _DNN_METHODS[method]
-        trained_on = tuple(model.meta.get("geometry", ()))
-        if model.variant != variant or trained_on != geom.positions:
-            raise ValueError(f"{method!r} needs a {variant!r} model trained on geometry "
-                             f"{list(geom.positions)}, got a {model.variant!r} model "
-                             f"trained on {list(trained_on)}")
     workers = config.workers if workers is None else workers
     items = [
         (snr_idx, trial)
@@ -334,7 +339,8 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
             recs = [records[m_idx] for records, _ in trial_results]
             ok = [r for r in recs if r.error is None]
             failed = sum(1 for r in recs if r.resolution_failure or r.error is not None)
-            mse = float(np.mean([r.squared_errors for r in ok])) if ok else float("nan")
+            mse = (doa_mse([r.estimated_deg for r in ok], [r.true_deg for r in ok])
+                   if ok else float("nan"))
             rows.append({
                 "method": method,
                 "snr_db": snr_db,
@@ -350,8 +356,9 @@ def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
                   models: dict[str, MlpModel] | None = None,
                   methods: tuple[str, ...] | None = None):
     """Pseudospectra of every method on one shared trial realization."""
-    geom = config.geometry()
     methods = methods if methods is not None else config.estimation_methods
+    _check_models(config, methods, models)
+    geom = config.geometry()
     scene, y = trial_snapshots(config, geom, snr_db, trial)
     r_full = sample_covariance(y)
     spectra = {method: _spectrum(config, geom, method, r_full, models) for method in methods}
@@ -447,8 +454,7 @@ def spectrum_csv(grid: np.ndarray, spectra: dict[str, np.ndarray]) -> str:
     return out.getvalue()
 
 
-def run_manifest(config: ExperimentConfig, outputs: dict[str, str],
-                 extra: dict | None = None) -> str:
+def run_manifest(config: ExperimentConfig, outputs: dict[str, str]) -> str:
     import scipy
 
     manifest = {
@@ -461,6 +467,4 @@ def run_manifest(config: ExperimentConfig, outputs: dict[str, str],
         "config": dataclasses.asdict(config),
         "outputs": outputs,
     }
-    if extra:
-        manifest.update(extra)
     return json.dumps(manifest, indent=2, sort_keys=True)

@@ -227,7 +227,7 @@ def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=Non
             cache["drop_mask"].append(None)
             break
         mask = out > 0
-        out = np.where(mask, out, 0.0)
+        out = np.maximum(out, 0.0)  # carries NaN through, unlike a masked select
         cache["relu_mask"].append(mask)
         p = model.dropout_rates[i]
         if train and p > 0.0:
@@ -538,6 +538,8 @@ def predict_covariance(model: MlpModel, r: Covariance) -> Covariance:
         )
     x = minmax_apply(features[None, :], model.input_stats)
     out = mlp_forward(model, x)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("repair network output is not finite")
     denorm = minmax_invert(out[0], model.target_stats)
     m_v = int(round(np.sqrt(model.d_out / 2)))
     return unflatten_features(denorm, m_v, role=R_PREDICTED)

@@ -27,7 +27,6 @@ __all__ = [
     "draw_angles",
     "steering_matrix",
     "simulate_snapshots",
-    "zero_failed_rows",
     "sample_covariance",
     "inject_failures",
     "analytic_covariance",
@@ -41,8 +40,6 @@ R_FAILED = "failed"
 R_SMOOTHED = "smoothed"
 R_SMOOTHED_FAILED = "smoothed-failed"
 R_PREDICTED = "predicted"
-
-HERMITIAN_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -111,12 +108,6 @@ class Covariance:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def check_hermitian(self, rtol: float = HERMITIAN_RTOL) -> None:
-        scale = np.linalg.norm(self.values)
-        dev = np.linalg.norm(self.values - self.values.conj().T)
-        if dev > rtol * max(scale, 1e-300):
-            raise ValueError(f"matrix is not Hermitian (relative deviation {dev / scale:.3g})")
-
 
 def cov_values(r) -> np.ndarray:
     """Accepts a Covariance or a bare array and returns the ndarray."""
@@ -125,16 +116,15 @@ def cov_values(r) -> np.ndarray:
     return np.asarray(r, dtype=np.complex128)
 
 
-def steering_matrix(geom, angles_deg, active_only: bool = False) -> np.ndarray:
+def steering_matrix(geom, angles_deg) -> np.ndarray:
     """Steering matrix with entries exp(j*pi*d_i*sin(theta_k)).
 
     ``geom`` may be an ArrayGeometry or a bare position array (in units of
-    d0 = lambda/2). Failed sensors still produce rows unless
-    ``active_only`` is set; failure handling lives in the covariance
-    domain.
+    d0 = lambda/2). Failed sensors still produce rows; failure handling
+    lives in the covariance domain.
     """
     if isinstance(geom, ArrayGeometry):
-        pos = geom.position_array(active_only=active_only)
+        pos = geom.position_array()
     else:
         pos = np.asarray(geom, dtype=np.float64)
     theta = np.deg2rad(np.atleast_1d(np.asarray(angles_deg, dtype=np.float64)))
@@ -153,7 +143,7 @@ def simulate_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int
 
     Source waveforms are drawn first, then noise, so the realization is
     reproducible for a given seed or Generator. Failed sensors are NOT
-    zeroed here; use zero_failed_rows or inject_failures downstream.
+    zeroed here; use inject_failures downstream.
     """
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
@@ -170,14 +160,6 @@ def simulate_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int
         + 1j * rng.standard_normal((m, n_snapshots))
     )
     return a @ x + noise
-
-
-def zero_failed_rows(y: np.ndarray, failed) -> np.ndarray:
-    """Snapshot-domain failure injection: rows of failed sensors set to 0."""
-    out = np.array(y, copy=True)
-    idx = _failed_rows(out.shape[0], failed)
-    out[idx, :] = 0.0
-    return out
 
 
 def sample_covariance(y: np.ndarray) -> Covariance:
@@ -215,14 +197,29 @@ def analytic_covariance(geom: ArrayGeometry, scene: SourceScene) -> Covariance:
     return Covariance(r, role=R_FULL)
 
 
+def _uint64(value, what: str) -> int:
+    value = int(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{what} {value} is outside 0 .. 2**64 - 1")
+    return value
+
+
 def _key_words(key) -> list[int]:
+    """Seed words of one key. Keys the encoding would confuse with another
+    key raise instead of being re-encoded, so existing streams stay put."""
     if isinstance(key, (bool, np.bool_)):
         return [int(key)]
     if isinstance(key, (int, np.integer)):
-        return [int(key) & 0xFFFFFFFF, (int(key) >> 32) & 0xFFFFFFFF]
+        key = _uint64(key, "int seed key")
+        return [key & 0xFFFFFFFF, key >> 32]
     if isinstance(key, float):
-        # Stable integer encoding; sweep keys are multiples of 1e-3 or coarser.
-        return [int(round(key * 1000.0)) & 0xFFFFFFFF]
+        # One word of milli-units: sweep keys are multiples of 1e-3 or coarser.
+        milli = key * 1000.0
+        if (not np.isfinite(milli) or abs(milli - round(milli)) > 1e-6
+                or abs(round(milli)) >= 2**31):
+            raise ValueError(f"float seed key {key!r} is not a multiple of 1e-3 "
+                             "below 2**31 / 1000 in magnitude")
+        return [int(round(milli)) & 0xFFFFFFFF]
     if isinstance(key, str):
         return [zlib.crc32(key.encode("utf-8"))]
     raise TypeError(f"unsupported seed key type {type(key)!r}")
@@ -231,11 +228,11 @@ def _key_words(key) -> list[int]:
 def stream_seed(master_seed: int, *keys) -> np.random.SeedSequence:
     """Named substream seed: deterministic in the master seed and keys.
 
-    Keys may be ints, floats (millidegree/millidB resolution), or strings,
-    so e.g. stream_seed(master, "scene", snr_db, trial) gives every method
-    the same per-trial realization.
+    Keys may be ints in 0 .. 2**64 - 1, floats (millidegree/millidB
+    resolution), or strings, so e.g. stream_seed(master, "scene", snr_db,
+    trial) gives every method the same per-trial realization.
     """
-    words = [int(master_seed) & 0xFFFFFFFFFFFFFFFF]
+    words = [_uint64(master_seed, "master seed")]
     for key in keys:
         words.extend(_key_words(key))
     return np.random.SeedSequence(words)

@@ -1,4 +1,4 @@
-"""Subspace spectral estimation: MUSIC on (smoothed) covariances, the DOA
+"""Subspace spectral estimation: MUSIC on the virtual ULA, the DOA
 mean-squared-error metric, and the coarray Cramer-Rao bound."""
 
 from __future__ import annotations
@@ -36,63 +36,49 @@ class MusicSpectrum:
     values: np.ndarray
     k: int
 
-    @property
-    def step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
 
 class PeakResult(NamedTuple):
     angles_deg: np.ndarray
     resolution_failure: bool
 
 
-def hermitian_eig(r, rtol: float = 1e-8):
+def hermitian_eig(r):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Verifies finiteness and Hermitian symmetry (to ``rtol``) before
+    Verifies finiteness and Hermitian symmetry (to 1e-8 relative) before
     decomposing, so overflow or conjugation bugs upstream fail loudly.
     """
     values = cov_values(r)
     if not np.isfinite(values).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     scale = np.linalg.norm(values)
-    if scale > 0 and np.linalg.norm(values - values.conj().T) > rtol * scale:
+    if scale > 0 and np.linalg.norm(values - values.conj().T) > 1e-8 * scale:
         raise ValueError("input is not Hermitian to tolerance")
     w, v = np.linalg.eigh((values + values.conj().T) / 2.0)
     return w, v
 
 
 @lru_cache(maxsize=16)
-def _grid_and_steering(positions: tuple, step: float):
+def _grid_and_steering(dim: int, step: float):
     n = int(np.ceil((90.0 - (-90.0)) / step - 1e-12))
     grid = -90.0 + step * np.arange(n)
-    a = steering_matrix(np.asarray(positions, dtype=np.float64), grid)
-    return grid, a
+    return grid, steering_matrix(np.arange(dim), grid)
 
 
-def music_spectrum(r, k: int, grid_step: float = 0.05, geom=None) -> MusicSpectrum:
+def music_spectrum(r, k: int, grid_step: float = 0.05) -> MusicSpectrum:
     """MUSIC pseudospectrum 1 / ||E_n^H a(theta)||^2 over [-90, 90).
 
-    ``geom`` gives the sensor positions the covariance lives on: an
-    ArrayGeometry or a position array; None means the contiguous virtual
-    ULA 0..dim-1 (the spatially-smoothed case). The noise subspace E_n
-    spans the dim - k smallest eigenpairs.
+    The covariance lives on the contiguous virtual ULA 0..dim-1 (every
+    method hands MUSIC a spatially-smoothed matrix). The noise subspace
+    E_n spans the dim - k smallest eigenpairs.
     """
     values = cov_values(r)
     dim = values.shape[0]
     if not 1 <= k < dim:
         raise ValueError(f"source count {k} must satisfy 1 <= k < dim {dim}")
-    if geom is None:
-        positions = tuple(range(dim))
-    elif isinstance(geom, ArrayGeometry):
-        positions = geom.positions
-    else:
-        positions = tuple(float(p) for p in np.asarray(geom).reshape(-1))
-    if len(positions) != dim:
-        raise ValueError("geometry size does not match covariance dimension")
     _, v = hermitian_eig(values)
     noise = v[:, : dim - k]
-    grid, a = _grid_and_steering(positions, float(grid_step))
+    grid, a = _grid_and_steering(dim, float(grid_step))
     denom = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
     tiny = np.finfo(np.float64).tiny
     return MusicSpectrum(grid=grid.copy(), values=1.0 / np.maximum(denom, tiny), k=k)
@@ -155,8 +141,7 @@ def _steering_derivative(positions: np.ndarray, angles_deg) -> np.ndarray:
     return 1j * np.pi * positions[:, None] * np.cos(theta)[None, :] * a
 
 
-def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int,
-        eig_floor: float = 1e-12) -> CrbResult:
+def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> CrbResult:
     """Unconditional-model Cramer-Rao bound for the source angles.
 
     Built from the Fisher information of vec(R). With W = (R^T kron R)^{-1/2}
@@ -164,7 +149,8 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int,
     M_theta = W (Adot* (.) A + A* (.) Adot) diag(powers) and the nuisance
     block M_s = W [A* (.) A, vec(I)] covers source powers and noise power;
     the bound is the inverse Schur complement of the angle block, scaled by
-    1/N and converted to degrees squared. Failed sensors are excluded.
+    1/N and converted to degrees squared. Eigenvalues of R^T kron R are
+    floored at 1e-12 of the largest. Failed sensors are excluded.
     """
     if scene.k < 1:
         raise ValueError("bound needs at least one source")
@@ -180,7 +166,7 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int,
 
     w_mat = np.kron(r.T, r)
     lam, u = np.linalg.eigh((w_mat + w_mat.conj().T) / 2.0)
-    floor = eig_floor * lam[-1]
+    floor = 1e-12 * lam[-1]
     if lam[-1] <= 0:
         raise np.linalg.LinAlgError("covariance Kronecker product is not positive")
     inv_sqrt = u @ np.diag(1.0 / np.sqrt(np.maximum(lam, floor))) @ u.conj().T

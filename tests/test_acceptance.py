@@ -12,8 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import sparsedoa as sd
-from sparsedoa import neural
+from sparsedoa import coarray, geometry, neural, signals, spectral
 from sparsedoa.harness import (
     METHOD_DATA_DRIVEN,
     METHOD_FAILED,
@@ -45,7 +44,7 @@ def desk_config():
 @pytest.fixture(scope="session")
 def desk_datasets(desk_config):
     geom = desk_config.geometry()
-    policy = sd.ScenePolicy(
+    policy = neural.ScenePolicy(
         n_sources=desk_config.k,
         angle_min=desk_config.angle_min,
         angle_max=desk_config.angle_max,
@@ -117,16 +116,16 @@ def sweep_mse(result, method, snr):
 
 def test_criterion_1_coarray_exactness():
     tic = time.perf_counter()
-    geom4 = sd.ArrayGeometry((0, 1, 4, 6))
-    co4 = sd.difference_coarray(geom4)
+    geom4 = geometry.ArrayGeometry((0, 1, 4, 6))
+    co4 = geometry.difference_coarray(geom4)
     intact_ok = co4.lags == tuple(range(-6, 7)) and co4.m_v == 7 \
-        and sd.is_hole_free(co4, 6)
-    co4f = sd.difference_coarray(geom4.with_failures({1}))
-    failure_ok = not sd.is_hole_free(co4f, 6) and 1 not in co4f.weights
-    geom10 = sd.mra_lookup(10)
-    co10 = sd.difference_coarray(geom10)
+        and geometry.is_hole_free(co4, 6)
+    co4f = geometry.difference_coarray(geom4.with_failures({1}))
+    failure_ok = not geometry.is_hole_free(co4f, 6) and 1 not in co4f.weights
+    geom10 = geometry.mra_lookup(10)
+    co10 = geometry.difference_coarray(geom10)
     virtual71_ok = co10.m_v == 36 and co10.virtual_size == 71 \
-        and sd.is_hole_free(co10, geom10.aperture)
+        and geometry.is_hole_free(co10, geom10.aperture)
     wall = time.perf_counter() - tic
     ok = intact_ok and failure_ok and virtual71_ok and wall < 1.0
     assert report(1, ok,
@@ -138,8 +137,8 @@ def test_criterion_1_coarray_exactness():
 def test_criterion_2_oracle_equivalence():
     tic = time.perf_counter()
     aperture_ok = all(
-        sd.mra_search(m, sd.mra_lookup(m).aperture + 2).aperture
-        == sd.mra_lookup(m).aperture
+        geometry.mra_search(m, geometry.mra_lookup(m).aperture + 2).aperture
+        == geometry.mra_lookup(m).aperture
         for m in range(2, 6)
     )
     mismatches = 0
@@ -147,7 +146,7 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(200):
         m = int(rng.integers(2, 9))
         positions = tuple(int(p) for p in np.sort(rng.choice(36, size=m, replace=False)))
-        geom = sd.ArrayGeometry(positions)
+        geom = geometry.ArrayGeometry(positions)
         full = {a - b for a in geom.positions for b in geom.positions}
         oracle = {
             i + 1 for i in range(m)
@@ -155,7 +154,7 @@ def test_criterion_2_oracle_equivalence():
                 for a in geom.positions[:i] + geom.positions[i + 1:]
                 for b in geom.positions[:i] + geom.positions[i + 1:]} != full
         }
-        if sd.essential_sensors(geom) != frozenset(oracle):
+        if geometry.essential_sensors(geom) != frozenset(oracle):
             mismatches += 1
     wall = time.perf_counter() - tic
     ok = aperture_ok and mismatches == 0 and wall < 30.0
@@ -170,19 +169,19 @@ def test_criterion_3_resolution_beyond_m():
     100 trials. Angles are placed uniformly in sin-space over +-60.5 deg,
     which minimizes the worst-source CRB subject to the gap constraint."""
     tic = time.perf_counter()
-    geom = sd.mra_lookup(5)
+    geom = geometry.mra_lookup(5)
     angles = np.rad2deg(np.arcsin(np.linspace(-0.87, 0.87, 9)))
     assert np.min(np.diff(angles)) >= 5.0
-    scene = sd.scene_from_snr(tuple(angles), 20.0)
-    bound = sd.crb(geom, scene, 5000)
+    scene = signals.scene_from_snr(tuple(angles), 20.0)
+    bound = spectral.crb(geom, scene, 5000)
     successes = 0
     worst = 0.0
     for trial in range(100):
-        rng = sd.stream_rng(20230, "resolution", trial)
-        y = sd.simulate_snapshots(geom, scene, 5000, rng)
-        r_ss = sd.spatial_smoothing(
-            sd.redundancy_average(sd.sample_covariance(y), geom))
-        peaks = sd.pick_peaks(sd.music_spectrum(r_ss, 9, grid_step=0.05), 9)
+        rng = signals.stream_rng(20230, "resolution", trial)
+        y = signals.simulate_snapshots(geom, scene, 5000, rng)
+        r_ss = coarray.spatial_smoothing(
+            coarray.redundancy_average(signals.sample_covariance(y), geom))
+        peaks = spectral.pick_peaks(spectral.music_spectrum(r_ss, 9, grid_step=0.05), 9)
         err = np.max(np.abs(np.sort(peaks.angles_deg) - angles))
         worst = max(worst, err)
         successes += err <= 0.1
@@ -205,7 +204,7 @@ def test_criterion_4_numerical_core():
         dim = int(rng.integers(2, 41))
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         r = (z + z.conj().T) / 2
-        w, v = sd.hermitian_eig(r)
+        w, v = spectral.hermitian_eig(r)
         resid = np.linalg.norm(v @ np.diag(w) @ v.conj().T - r) / np.linalg.norm(r)
         worst_resid = max(worst_resid, resid)
     eig_ok = worst_resid < 1e-8
@@ -319,14 +318,14 @@ def test_criterion_5c_zero_failure_prediction_floor(desk_config, desk_datasets,
     model = desk_training["data-driven"]
     rels = []
     for trial in range(8):
-        rng = sd.stream_rng(desk_config.master_seed, "passthrough", trial)
-        angles = sd.draw_angles(desk_config.k, desk_config.angle_min,
-                                desk_config.angle_max, desk_config.min_gap, rng)
-        y = sd.simulate_snapshots(geom, sd.scene_from_snr(tuple(angles), 5.0),
-                                  desk_config.n_snapshots, rng)
-        r = sd.sample_covariance(y)
-        r_ss = sd.spatial_smoothing(sd.redundancy_average(r, geom))
-        pred = sd.predict_covariance(model, sd.inject_failures(r, set()))
+        rng = signals.stream_rng(desk_config.master_seed, "passthrough", trial)
+        angles = signals.draw_angles(desk_config.k, desk_config.angle_min,
+                                     desk_config.angle_max, desk_config.min_gap, rng)
+        y = signals.simulate_snapshots(geom, signals.scene_from_snr(tuple(angles), 5.0),
+                                       desk_config.n_snapshots, rng)
+        r = signals.sample_covariance(y)
+        r_ss = coarray.spatial_smoothing(coarray.redundancy_average(r, geom))
+        pred = neural.predict_covariance(model, signals.inject_failures(r, set()))
         assert pred.values.shape == r_ss.values.shape
         npt.assert_array_equal(pred.values, pred.values.conj().T)
         rels.append(np.linalg.norm(pred.values - r_ss.values)
@@ -338,9 +337,9 @@ def test_criterion_5c_zero_failure_prediction_floor(desk_config, desk_datasets,
     floors = []
     m_v = int(round(np.sqrt(ds.targets.shape[1] / 2)))
     for row in range(n_train, n_train + 64):
-        r_in = sd.unflatten_features(ds.inputs[row], geom.size, role="failed")
-        truth = sd.unflatten_features(ds.targets[row], m_v).values
-        pred = sd.predict_covariance(model, r_in)
+        r_in = coarray.unflatten_features(ds.inputs[row], geom.size, role="failed")
+        truth = coarray.unflatten_features(ds.targets[row], m_v).values
+        pred = neural.predict_covariance(model, r_in)
         floors.append(np.linalg.norm(pred.values - truth) / np.linalg.norm(truth))
 
     ok = all(np.isfinite(rels)) and max(rels) < 1.0
@@ -379,26 +378,26 @@ def test_criterion_7_crb_validity():
         angles = np.sort(rng.uniform(-65, 65, k))
         while k > 1 and np.min(np.diff(angles)) < 4.0:
             angles = np.sort(rng.uniform(-65, 65, k))
-        scene = sd.SourceScene(tuple(angles), tuple(rng.uniform(0.5, 2.0, k)),
-                               float(rng.uniform(0.05, 5.0)))
-        c = sd.crb(sd.mra_lookup(m), scene, 100).matrix_deg2
+        scene = signals.SourceScene(tuple(angles), tuple(rng.uniform(0.5, 2.0, k)),
+                                    float(rng.uniform(0.05, 5.0)))
+        c = spectral.crb(geometry.mra_lookup(m), scene, 100).matrix_deg2
         sym = np.allclose(c, c.T, atol=1e-12)
         psd = np.linalg.eigvalsh(c).min() >= -1e-10 * np.trace(c)
         psd_ok = psd_ok and sym and psd
 
-    geom = sd.mra_lookup(5)
-    scene = sd.scene_from_snr((20.0, 42.0), 0.0)
-    c_n = sd.crb(geom, scene, 150).matrix_deg2
-    c_2n = sd.crb(geom, scene, 300).matrix_deg2
+    geom = geometry.mra_lookup(5)
+    scene = signals.scene_from_snr((20.0, 42.0), 0.0)
+    c_n = spectral.crb(geom, scene, 150).matrix_deg2
+    c_2n = spectral.crb(geom, scene, 300).matrix_deg2
     scaling_ok = np.allclose(2.0 * np.diag(c_2n), np.diag(c_n), rtol=1e-10)
 
-    scene1 = sd.scene_from_snr((20.0,), 0.0)
-    got = sd.crb(geom, scene1, 200).matrix_deg2[0, 0]
+    scene1 = signals.scene_from_snr((20.0,), 0.0)
+    got = spectral.crb(geom, scene1, 200).matrix_deg2[0, 0]
     eta0 = np.array([np.deg2rad(20.0), 1.0, 1.0])
 
     def cov(eta):
-        sc = sd.SourceScene((np.rad2deg(eta[0]),), (eta[1],), eta[2])
-        return cov_values(sd.analytic_covariance(geom, sc))
+        sc = signals.SourceScene((np.rad2deg(eta[0]),), (eta[1],), eta[2])
+        return cov_values(signals.analytic_covariance(geom, sc))
 
     r_inv = np.linalg.inv(cov(eta0))
     h = 1e-6

@@ -93,6 +93,13 @@ class TestEvalCommand:
         assert code == 0
         assert (out_dir / "records_snr10_trial0.csv").exists()
 
+    def test_repair_method_without_model_fails(self, mini_config, tmp_path, capsys):
+        code = main(["eval", "--config", str(mini_config), "--out", str(tmp_path),
+                     "--methods", "hybrid"])
+        assert code == 1
+        assert "missing trained models" in capsys.readouterr().err
+        assert not list(tmp_path.glob("records_*.csv"))
+
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("emit", ["snapshots", "covariance", "coarray"])
@@ -131,6 +138,13 @@ class TestTrainCommand:
         history = (out_dir / "history_data-driven.csv").read_text().splitlines()
         assert history[0] == "epoch,train_mse,val_mse,seconds"
         assert len(history) == 2
+
+
+def test_unrepresentable_seed_fails(mini_config, tmp_path, capsys):
+    # -1 would share its stream with 2**64 - 1
+    assert main(["simulate", "--config", str(mini_config), "--out", str(tmp_path),
+                 "--seed", "-1"]) == 1
+    assert "master seed" in capsys.readouterr().err
 
 
 def test_error_exit_code(tmp_path, capsys):

@@ -58,7 +58,7 @@ class TestRedundancyAverage:
         geom = mra_lookup(5)
         scene = SourceScene((10.0, 40.0), (1.0, 2.0), 0.25)
         signal = redundancy_average(analytic_covariance(geom, scene), geom)
-        npt.assert_allclose(signal.lag_value(0), 3.25, atol=1e-12)
+        npt.assert_allclose(signal.z[signal.m_v - 1], 3.25, atol=1e-12)  # lag 0
 
     def test_holes_from_failed_sensor(self):
         geom = ArrayGeometry((0, 1, 4, 6), frozenset({1}))
@@ -83,7 +83,7 @@ class TestRedundancyAverage:
         y = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
         signal = redundancy_average(Covariance(y @ y.conj().T / 40), geom)
         for lag in range(signal.m_v):
-            a, b = signal.lag_value(lag), signal.lag_value(-lag)
+            a, b = signal.z[signal.m_v - 1 + lag], signal.z[signal.m_v - 1 - lag]
             assert abs(b - np.conj(a)) <= 1e-10 * max(abs(a), 1e-30)
 
     def test_dimension_mismatch(self):
@@ -123,7 +123,8 @@ class TestSpatialSmoothing:
         z = np.concatenate([np.conj(half[::-1]), [rng.random() + 0j], half])
         signal = CoarraySignal(z=z, available=np.ones(2 * m_v - 1, bool), m_v=m_v)
         r_ss = spatial_smoothing(signal)
-        r_ss.check_hermitian()
+        dev = np.linalg.norm(r_ss.values - r_ss.values.conj().T)
+        assert dev <= 1e-10 * np.linalg.norm(r_ss.values)
         w = np.linalg.eigvalsh(r_ss.values)
         assert w.min() >= -1e-10 * np.trace(r_ss.values).real
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -98,9 +99,8 @@ class TestRunTrial:
             assert max(rec.squared_errors) <= (2 * cfg.grid_step) ** 2
 
     def test_dnn_method_needs_model(self):
-        rec = run_trial(MINI, METHOD_HYBRID, 0.0, 0)
-        assert rec.error is not None
-        assert rec.resolution_failure
+        with pytest.raises(ValueError, match="missing trained models"):
+            run_trial(MINI, METHOD_HYBRID, 0.0, 0)
 
 
 class TestRunSweep:
@@ -163,15 +163,16 @@ class TestRunSweep:
             run_sweep(cfg)
 
 
+@pytest.fixture(scope="module")
+def dd_model():
+    cfg = preset("desk", m=4, k=2, n_train_samples=40, epochs=1,
+                 batch_size=16, n_snapshots=32)
+    return train_variant(cfg, "data-driven")[0]
+
+
 class TestSweepModelChecks:
     """A model that does not fit the sweep fails before the first trial
     instead of being booked as error trials or run on the wrong array."""
-
-    @pytest.fixture(scope="class")
-    def dd_model(self):
-        cfg = preset("desk", m=4, k=2, n_train_samples=40, epochs=1,
-                     batch_size=16, n_snapshots=32)
-        return train_variant(cfg, "data-driven")[0]
 
     def test_matching_model_from_file_runs(self, dd_model, tmp_path):
         save_model(dd_model, tmp_path / "model.bin")
@@ -190,6 +191,45 @@ class TestSweepModelChecks:
                                   methods=(METHOD_NONE, METHOD_DATA_DRIVEN))
         with pytest.raises(ValueError, match="geometry"):
             run_sweep(cfg, models={METHOD_DATA_DRIVEN: dd_model})
+
+
+class TestEntryPointModelChecks:
+    """run_trial and emit_spectrum (and so eval and spectrum) make the same
+    model check as the sweep, before drawing a scene."""
+
+    def test_trial_on_wrong_geometry_rejected(self, dd_model):
+        assert dd_model.meta["geometry"] == [0, 1, 4, 6]
+        cfg = dataclasses.replace(MINI, positions=(0, 2, 5, 6))
+        with pytest.raises(ValueError, match="trained on \\[0, 1, 4, 6\\]"):
+            run_trial(cfg, METHOD_DATA_DRIVEN, 10.0, 0, models={METHOD_DATA_DRIVEN: dd_model})
+
+    def test_trial_with_wrong_variant_rejected(self, dd_model):
+        with pytest.raises(ValueError, match="got a 'data-driven' model"):
+            run_trial(MINI, METHOD_HYBRID, 10.0, 0, models={METHOD_HYBRID: dd_model})
+
+    def test_spectrum_with_wrong_variant_rejected(self, dd_model):
+        # the model check fires, not the covariance-role check inside the network call
+        with pytest.raises(ValueError, match="got a 'data-driven' model"):
+            emit_spectrum(MINI, 10.0, models={METHOD_HYBRID: dd_model},
+                          methods=(METHOD_NONE, METHOD_HYBRID))
+
+    def test_matching_model_runs_in_trial_and_spectrum(self, dd_model):
+        models = {METHOD_DATA_DRIVEN: dd_model}
+        rec = run_trial(MINI, METHOD_DATA_DRIVEN, 10.0, 0, models=models)
+        assert rec.error is None
+        _, spectra, _ = emit_spectrum(MINI, 10.0, models=models, methods=(METHOD_DATA_DRIVEN,))
+        assert np.isfinite(spectra[METHOD_DATA_DRIVEN]).all()
+
+    def test_nan_weight_fails_loudly(self, dd_model):
+        # a NaN weight must not be mapped to 0 by the ReLU and give finite estimates
+        bad = copy.deepcopy(dd_model)
+        bad.weights[0][0, 0] = np.nan
+        models = {METHOD_DATA_DRIVEN: bad}
+        with pytest.raises(FloatingPointError, match="not finite"):
+            run_trial(MINI, METHOD_DATA_DRIVEN, 10.0, 0, models=models)
+        cfg = dataclasses.replace(MINI, methods=(METHOD_NONE, METHOD_DATA_DRIVEN), q_trials=1)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            run_sweep(cfg, models=models)
 
 
 class TestPaperGeometry:

@@ -103,6 +103,13 @@ class TestForward:
         with pytest.raises(ValueError):
             mlp_forward(model, np.zeros((2, 5)))
 
+    def test_hidden_relu_carries_nan(self):
+        # a NaN hidden pre-activation must reach the output, not be clipped to 0
+        rng = np.random.default_rng(3)
+        model = tiny_model([3, 4, 2], [0.0, 0.0], rng)
+        model.weights[0][0, 0] = np.nan
+        assert np.isnan(mlp_forward(model, rng.standard_normal((2, 3)))).all()
+
     def test_inverted_dropout_unbiased(self):
         # linear output layer: train-mode mean over masks matches infer mode
         rng = np.random.default_rng(2)
@@ -418,6 +425,14 @@ class TestPredictCovariance:
         r_ss = spatial_smoothing(redundancy_average(r, GEOM5))
         out_h = predict_covariance(trained_pair[HYBRID], r_ss)
         assert out_h.values.shape == (10, 10)
+
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    def test_non_finite_output_raises(self, trained_pair, variant):
+        model = copy.deepcopy(trained_pair[variant])
+        model.weights[0][0, 0] = np.nan
+        r_m, r_sm = self._damaged_inputs()
+        with pytest.raises(FloatingPointError, match="not finite"):
+            predict_covariance(model, r_sm if variant == HYBRID else r_m)
 
     def test_untrained_model_rejected(self):
         model = build_model(HYBRID, GEOM5, seed=0)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,7 +17,6 @@ from sparsedoa.signals import (
     steering_matrix,
     stream_rng,
     stream_seed,
-    zero_failed_rows,
 )
 
 
@@ -118,7 +119,7 @@ class TestSampleCovariance:
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
         r = sample_covariance(y)
-        r.check_hermitian()
+        assert np.linalg.norm(r.values - r.values.conj().T) <= 1e-10 * np.linalg.norm(r.values)
         w = np.linalg.eigvalsh(r.values)
         assert w.min() >= -1e-10 * max(np.trace(r.values).real, 1.0)
 
@@ -183,7 +184,9 @@ class TestInjectFailures:
         geom = mra_lookup(5)
         y = simulate_snapshots(geom, scene_from_snr((12.0, 33.0), 5.0), 64, seed=9)
         via_cov = inject_failures(sample_covariance(y), {1, 4})
-        via_snap = sample_covariance(zero_failed_rows(y, {1, 4}))
+        y_failed = y.copy()
+        y_failed[[0, 3], :] = 0.0  # snapshot-domain oracle: sensors 1 and 4 read zero
+        via_snap = sample_covariance(y_failed)
         npt.assert_allclose(via_snap.values, via_cov.values, atol=1e-14)
 
 
@@ -223,6 +226,39 @@ class TestStreams:
         c = stream_rng(5, "noise", -4.0, 7).standard_normal(8)
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
+
+    def test_encoding_is_pinned(self):
+        # rejecting unrepresentable keys must not move any existing stream
+        words = [20230, zlib.crc32(b"scene"), -4000 & 0xFFFFFFFF, 7, 0]
+        assert stream_seed(20230, "scene", -4.0, 7).entropy == words
+        assert stream_seed(2**64 - 1, 2**64 - 1).entropy == [2**64 - 1, 2**32 - 1, 2**32 - 1]
+
+    # Each rejected key below shares its seed words with another key.
+    @pytest.mark.parametrize("key", [-1, -(2**63), 2**64, 2**64 + 5])
+    def test_rejects_int_key_outside_uint64(self, key):
+        with pytest.raises(ValueError, match="int seed key"):
+            stream_seed(1, "scene", 0.0, key)
+
+    @pytest.mark.parametrize("master", [-1, 2**64])
+    def test_rejects_master_seed_outside_uint64(self, master):
+        with pytest.raises(ValueError, match="master seed"):
+            stream_seed(master, "scene")
+
+    @pytest.mark.parametrize("key", [0.0004, 1e-9, 10.0005, -3.2501])
+    def test_rejects_float_key_finer_than_milli(self, key):
+        with pytest.raises(ValueError, match="multiple of 1e-3"):
+            stream_seed(1, "scene", key, 0)
+
+    def test_accepts_float_key_off_by_rounding_or_at_the_limit(self):
+        assert (stream_seed(1, "scene", 0.30000000000000004, 0).entropy
+                == stream_seed(1, "scene", 0.3, 0).entropy)
+        stream_seed(1, "scene", (2.0**31 - 1) / 1000, 0)
+
+    @pytest.mark.parametrize("key", [2.0**31 / 1000, -(2.0**31) / 1000, 1e300,
+                                     np.inf, -np.inf, np.nan])
+    def test_rejects_float_key_beyond_one_word(self, key):
+        with pytest.raises(ValueError, match="multiple of 1e-3"):
+            stream_seed(1, "scene", key, 0)
 
 
 def test_covariance_requires_square():

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from sparsedoa.coarray import redundancy_average, spatial_smoothing
-from sparsedoa.geometry import mra_lookup
+from sparsedoa.geometry import ArrayGeometry, mra_lookup
 from sparsedoa.signals import (
     Covariance,
     SourceScene,
@@ -76,10 +76,11 @@ class TestMusicSpectrum:
         assert np.all(spec.values >= 0)
 
     def test_max_source_count_finite_spectrum(self):
-        geom = mra_lookup(4)
+        # K = dim - 1 on the 4-element ULA, the largest count MUSIC accepts
+        geom = ArrayGeometry((0, 1, 2, 3))
         angles = (-40.0, -5.0, 38.0)
         r = analytic_covariance(geom, SourceScene(angles, (1.0,) * 3, 0.2))
-        spec = music_spectrum(r, 3, grid_step=0.1, geom=geom)
+        spec = music_spectrum(r, 3, grid_step=0.1)
         assert np.isfinite(spec.values).all()
         peaks = pick_peaks(spec, 3)
         npt.assert_allclose(peaks.angles_deg, angles, atol=0.1)

@@ -1,0 +1,31 @@
+"""The package surface: ``import sparsedoa`` exposes only the pipeline entry
+points, and every submodule's ``__all__`` names something that exists."""
+
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import sparsedoa
+
+ENTRY_POINTS = {
+    "HYBRID", "DATA_DRIVEN", "build_model", "generate_dataset", "train",
+    "ExperimentConfig", "preset", "run_sweep", "run_trial",
+}
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(sparsedoa.__path__)
+                    if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(f"sparsedoa.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"sparsedoa.{name}.__all__ lists missing names {missing}"
+
+
+def test_top_level_is_the_pipeline_entry_points():
+    names = {n for n, v in vars(sparsedoa).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert names == ENTRY_POINTS
+    assert isinstance(sparsedoa.__version__, str)
