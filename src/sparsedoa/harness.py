@@ -13,9 +13,11 @@ the TrialRecord list.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import dataclasses
 import io
 import json
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .coarray import redundancy_average, spatial_smoothing
-from .geometry import ArrayGeometry, mra_lookup
+from .geometry import ArrayGeometry, difference_coarray, mra_lookup
 from .neural import (
     DATA_DRIVEN,
     HYBRID,
@@ -122,6 +124,10 @@ class ExperimentConfig:
         }
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
+        m_v = difference_coarray(self.geometry()).m_v
+        if not 1 <= self.k < m_v:
+            raise ValueError(f"source count k={self.k} must satisfy 1 <= k < m_v={m_v} "
+                             "of the intact array's coarray")
 
     def geometry(self) -> ArrayGeometry:
         if self.positions is not None:
@@ -238,8 +244,8 @@ def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db
 
 def _check_models(config: ExperimentConfig, methods, models) -> None:
     """Every repair method among ``methods`` needs a model of its variant
-    trained on the config's geometry; a missing or mismatched one fails
-    before any scene is drawn."""
+    trained on the config's geometry and source count (older models record
+    none); a missing or mismatched one fails before any scene is drawn."""
     needed = sorted(set(methods) & set(_DNN_METHODS))
     missing = [m for m in needed if m not in (models or {})]
     if missing:
@@ -248,10 +254,12 @@ def _check_models(config: ExperimentConfig, methods, models) -> None:
     for method in needed:
         model, variant = models[method], _DNN_METHODS[method]
         trained_on = tuple(model.meta.get("geometry", ()))
-        if model.variant != variant or trained_on != positions:
+        trained_k = model.meta.get("n_sources")
+        if model.variant != variant or trained_on != positions or trained_k not in (None, config.k):
             raise ValueError(f"{method!r} needs a {variant!r} model trained on geometry "
-                             f"{list(positions)}, got a {model.variant!r} model "
-                             f"trained on {list(trained_on)}")
+                             f"{list(positions)} with K={config.k}, got a "
+                             f"{model.variant!r} model trained on {list(trained_on)} "
+                             f"with K={trained_k}")
 
 
 def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
@@ -278,9 +286,21 @@ def _run_item(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float,
 
 
 _WORKER_CTX: dict = {}
+_WORKER_BLAS_THREADS = 1  # the workers already share the cores; more would oversubscribe them
 
 
-def _init_worker(config: ExperimentConfig, models) -> None:
+def _blas_thread_setter():
+    """numpy's OpenBLAS thread-count setter; dlsym finds it via numpy's extension module."""
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError) as exc:
+        raise RuntimeError(f"cannot set the thread count of numpy's BLAS: {exc}") from exc
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
+def _init_worker(config: ExperimentConfig, models, set_blas_threads) -> None:
+    set_blas_threads(_WORKER_BLAS_THREADS)
     _WORKER_CTX["config"] = config
     _WORKER_CTX["geom"] = config.geometry()
     _WORKER_CTX["models"] = models
@@ -321,8 +341,10 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
         outcomes = [_run_item(config, geom, config.test_snrs_db[snr_idx], trial, models)
                     for snr_idx, trial in items]
     else:
+        # fork: initargs (the models) are not pickled; workers keep the parent's tracing
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(config, models)
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(config, models, _blas_thread_setter()),
         ) as pool:
             chunk = max(1, len(items) // (8 * workers))
             outcomes = list(pool.map(_pool_item, items, chunksize=chunk))
@@ -457,10 +479,13 @@ def spectrum_csv(grid: np.ndarray, spectra: dict[str, np.ndarray]) -> str:
 def run_manifest(config: ExperimentConfig, outputs: dict[str, str]) -> str:
     import scipy
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "package": "sparsedoa",
         "version": __version__,
         "numpy": np.__version__,
+        "numpy_blas": {"name": blas["name"], "version": blas["version"]},
+        "worker_blas_threads": _WORKER_BLAS_THREADS,
         "scipy": scipy.__version__,
         "rng_algorithm": config.rng_algorithm,
         "master_seed": config.master_seed,

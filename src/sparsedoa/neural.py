@@ -475,6 +475,7 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     model.meta.update({
         "train_seed": seed, "epochs": epochs, "batch_size": batch_size,
         "split": split, "lr": lr, "dataset_fingerprint": dataset.fingerprint(),
+        "n_sources": dataset.meta.get("n_sources"),
     })
     for epoch in range(1, epochs + 1):
         tic = time.perf_counter()

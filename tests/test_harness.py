@@ -1,6 +1,9 @@
+import concurrent.futures
 import copy
+import ctypes
 import dataclasses
 import json
+import multiprocessing
 
 import numpy as np
 import numpy.testing as npt
@@ -21,6 +24,8 @@ from sparsedoa.harness import (
     run_trial,
     spectrum_csv,
     train_variant,
+    _blas_thread_setter,
+    _init_worker,
 )
 from sparsedoa.neural import load_model, save_model
 from sparsedoa.spectral import doa_mse
@@ -38,6 +43,14 @@ MINI = preset(
     n_snapshots=100,
     min_gap=15.0,
 )
+
+
+def _blas_threads() -> int:
+    """This process's numpy OpenBLAS thread count."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    get = lib.scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 class TestConfig:
@@ -72,6 +85,16 @@ class TestConfig:
             preset("desk", methods=("nope",))
         with pytest.raises(ValueError):
             preset("desk", rng_algorithm="MT19937")
+
+    def test_source_count_must_fit_the_intact_coarray(self):
+        # desk MRA (0, 2, 5, 8, 9) has m_v = 10: K = 10 leaves MUSIC no noise
+        # subspace, and every trial would be booked as an error with NaN MSE
+        assert preset("desk", k=9).k == 9
+        for k in (10, 0):
+            with pytest.raises(ValueError, match="must satisfy 1 <= k < m_v=10"):
+                preset("desk", k=k)
+        with pytest.raises(ValueError, match="m_v=4"):
+            preset("desk", positions=(0, 1, 3), k=4)
 
 
 class TestRunTrial:
@@ -146,9 +169,32 @@ class TestRunSweep:
         assert len(result.rows) == 21
 
     def test_worker_count_invariance(self):
-        seq = results_csv(run_sweep(MINI, workers=1).rows)
-        par = results_csv(run_sweep(MINI, workers=2).rows)
-        assert seq == par
+        seq, par = run_sweep(MINI, workers=1), run_sweep(MINI, workers=2)
+        assert results_csv(seq.rows) == results_csv(par.rows)
+
+        def timeless(result):
+            return records_csv([dataclasses.replace(r, wall_seconds=0.0)
+                                for r in result.records])
+
+        assert timeless(seq) == timeless(par)
+
+    def test_pool_worker_runs_one_blas_thread(self):
+        ctx = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, mp_context=ctx, initializer=_init_worker,
+            initargs=(MINI, None, _blas_thread_setter()),
+        ) as pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == 1
+
+    def test_pool_leaves_parent_blas_threads(self):
+        before = _blas_threads()
+        run_sweep(MINI, workers=2)
+        assert _blas_threads() == before
+
+    def test_missing_blas_setter_fails_before_pool(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        with pytest.raises(RuntimeError, match="numpy's BLAS"):
+            run_sweep(MINI, workers=2)
 
     def test_failure_hurts_in_aggregate(self):
         cfg = dataclasses.replace(MINI, q_trials=12, test_snrs_db=(10.0,),
@@ -219,6 +265,24 @@ class TestEntryPointModelChecks:
         assert rec.error is None
         _, spectra, _ = emit_spectrum(MINI, 10.0, models=models, methods=(METHOD_DATA_DRIVEN,))
         assert np.isfinite(spectra[METHOD_DATA_DRIVEN]).all()
+
+    def test_source_count_mismatch_rejected(self, dd_model):
+        # trained for K=2; run at K=1 it gives finite errors with error=None
+        assert dd_model.meta["n_sources"] == 2
+        models = {METHOD_DATA_DRIVEN: dd_model}
+        cfg = dataclasses.replace(MINI, k=1)
+        with pytest.raises(ValueError, match="with K=1, got .* with K=2"):
+            run_trial(cfg, METHOD_DATA_DRIVEN, 10.0, 0, models=models)
+        with pytest.raises(ValueError, match="with K=2"):
+            run_sweep(dataclasses.replace(cfg, methods=(METHOD_DATA_DRIVEN,)), models=models)
+
+    def test_model_without_recorded_source_count_runs(self, dd_model, tmp_path):
+        # files saved before K was recorded carry no n_sources and pass on geometry
+        legacy = copy.deepcopy(dd_model)
+        del legacy.meta["n_sources"]
+        save_model(legacy, tmp_path / "model.bin")
+        models = {METHOD_DATA_DRIVEN: load_model(tmp_path / "model.bin")}
+        assert run_trial(MINI, METHOD_DATA_DRIVEN, 10.0, 0, models=models).error is None
 
     def test_nan_weight_fails_loudly(self, dd_model):
         # a NaN weight must not be mapped to 0 by the ReLU and give finite estimates
@@ -312,6 +376,9 @@ class TestSerialization:
         assert data["rng_algorithm"] == "PCG64"
         assert data["config"]["m"] == MINI.m
         assert data["outputs"]["results"] == "x.csv"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert data["numpy_blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert data["worker_blas_threads"] == 1
 
 
 class TestTrainVariant:
