@@ -8,12 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayGeometry, difference_coarray
-from .signals import (
-    Covariance,
-    R_SMOOTHED,
-    R_SMOOTHED_FAILED,
-    cov_values,
-)
 
 __all__ = [
     "CoarraySignal",
@@ -45,15 +39,10 @@ class CoarraySignal:
         if self.z.shape != (2 * self.m_v - 1,) or self.available.shape != self.z.shape:
             raise ValueError("coarray signal must cover 2*m_v - 1 lags")
 
-    @property
-    def has_holes(self) -> bool:
-        return not bool(self.available.all())
-
 
 def vectorize_covariance(r) -> np.ndarray:
     """vec(R): column stacking, entry (i, j) lands at position j*M + i."""
-    values = cov_values(r)
-    return values.reshape(-1, order="F")
+    return np.asarray(r, dtype=np.complex128).reshape(-1, order="F")
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,7 +60,7 @@ def redundancy_average(r, geom: ArrayGeometry) -> CoarraySignal:
     geometry's m_v; lags whose every generating pair involves a failed
     sensor become holes (zero value, available False).
     """
-    values = cov_values(r)
+    values = np.asarray(r, dtype=np.complex128)
     if values.shape[0] != geom.size:
         raise ValueError(
             f"covariance dimension {values.shape[0]} does not match geometry size {geom.size}"
@@ -95,7 +84,7 @@ def redundancy_average(r, geom: ArrayGeometry) -> CoarraySignal:
     return CoarraySignal(z=z, available=available, m_v=m_v)
 
 
-def spatial_smoothing(signal: CoarraySignal) -> Covariance:
+def spatial_smoothing(signal: CoarraySignal) -> np.ndarray:
     """Rank-restoring spatial smoothing of the coarray signal.
 
     Averages the outer products of the m_v ascending-lag windows
@@ -108,9 +97,7 @@ def spatial_smoothing(signal: CoarraySignal) -> Covariance:
         raise ValueError("coarray signal length must be odd")
     m_v = signal.m_v
     windows = np.lib.stride_tricks.sliding_window_view(signal.z, m_v)
-    r_ss = (windows.T @ windows.conj()) / m_v
-    role = R_SMOOTHED_FAILED if signal.has_holes else R_SMOOTHED
-    return Covariance(r_ss, role=role)
+    return (windows.T @ windows.conj()) / m_v
 
 
 def flatten_features(r) -> np.ndarray:
@@ -119,7 +106,7 @@ def flatten_features(r) -> np.ndarray:
     return np.concatenate([vec.real, vec.imag])
 
 
-def unflatten_features(v: np.ndarray, dim: int, role: str = "predicted") -> Covariance:
+def unflatten_features(v: np.ndarray, dim: int) -> np.ndarray:
     """Rebuilds a Hermitian matrix from flattened features.
 
     Inverse of flatten_features up to the Hermitian projection
@@ -130,4 +117,4 @@ def unflatten_features(v: np.ndarray, dim: int, role: str = "predicted") -> Cova
         raise ValueError(f"expected {2 * dim * dim} features for dim {dim}, got {v.size}")
     half = dim * dim
     z = (v[:half] + 1j * v[half:]).reshape((dim, dim), order="F")
-    return Covariance((z + z.conj().T) / 2.0, role=role)
+    return (z + z.conj().T) / 2.0

@@ -15,7 +15,6 @@ from __future__ import annotations
 import concurrent.futures
 import ctypes
 import dataclasses
-import io
 import json
 import multiprocessing
 import time
@@ -70,11 +69,10 @@ __all__ = [
 
 METHOD_NONE = "none"
 METHOD_FAILED = "failed-baseline"
-METHOD_HYBRID = "hybrid"
-METHOD_DATA_DRIVEN = "data-driven"
+METHOD_HYBRID = HYBRID  # a repair method is named after its network's variant
+METHOD_DATA_DRIVEN = DATA_DRIVEN
 METHOD_CRB = "crb"
-
-_DNN_METHODS = {METHOD_HYBRID: HYBRID, METHOD_DATA_DRIVEN: DATA_DRIVEN}
+_METHODS = (METHOD_NONE, METHOD_FAILED, METHOD_HYBRID, METHOD_DATA_DRIVEN, METHOD_CRB)
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,7 @@ class ExperimentConfig:
     train_max_failures: int = 2
     train_include_no_failure: bool = False
     test_failures: tuple[int, ...] = (1, 5)
-    methods: tuple[str, ...] = (
-        METHOD_NONE, METHOD_FAILED, METHOD_HYBRID, METHOD_DATA_DRIVEN, METHOD_CRB,
-    )
+    methods: tuple[str, ...] = _METHODS
     grid_step: float = 0.05
     n_train_samples: int = 300_000
     epochs: int = 150
@@ -119,9 +115,7 @@ class ExperimentConfig:
             raise ValueError("need at least one trial per SNR point")
         if self.rng_algorithm != "PCG64":
             raise ValueError("only the PCG64 generator is supported")
-        unknown = set(self.methods) - {
-            METHOD_NONE, METHOD_FAILED, METHOD_HYBRID, METHOD_DATA_DRIVEN, METHOD_CRB,
-        }
+        unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         m_v = difference_coarray(self.geometry()).m_v
@@ -207,9 +201,8 @@ def _spectrum(config: ExperimentConfig, geom: ArrayGeometry, method: str,
         r_music = spatial_smoothing(redundancy_average(r_full, geom))
     elif method == METHOD_FAILED:  # the damaged matrix the hybrid network repairs
         r_music = repair_input(HYBRID, r_full, geom, config.test_failures)
-    elif method in _DNN_METHODS:
-        r_in = repair_input(_DNN_METHODS[method], r_full, geom, config.test_failures)
-        r_music = predict_covariance(models[method], r_in)
+    elif method in (METHOD_HYBRID, METHOD_DATA_DRIVEN):
+        r_music = predict_covariance(models[method], r_full, geom, config.test_failures)
     else:
         raise ValueError(f"unknown estimation method {method!r}")
     return music_spectrum(r_music, config.k, grid_step=config.grid_step)
@@ -217,7 +210,8 @@ def _spectrum(config: ExperimentConfig, geom: ArrayGeometry, method: str,
 
 def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db: float,
               trial: int, scene, r_full, models) -> TrialRecord:
-    """One method's record on one trial; a numeric failure books an errored record."""
+    """One method's record on one trial; a failed linear-algebra step books an
+    errored record, and any other error propagates."""
     tic = time.perf_counter()
     estimated = squared = (float("nan"),) * config.k
     resolution_failure, error = True, None
@@ -227,7 +221,7 @@ def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db
         estimated = tuple(float(a) for a in peaks.angles_deg)
         squared = tuple(float(e * e) for e in errs)
         resolution_failure = bool(peaks.resolution_failure)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         error = f"{type(exc).__name__}: {exc}"
     return TrialRecord(
         trial=trial,
@@ -243,20 +237,24 @@ def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db
 
 
 def _check_models(config: ExperimentConfig, methods, models) -> None:
-    """Every repair method among ``methods`` needs a model of its variant
-    trained on the config's geometry and source count (older models record
-    none); a missing or mismatched one fails before any scene is drawn."""
-    needed = sorted(set(methods) & set(_DNN_METHODS))
+    """Every repair method among ``methods`` needs a trained model of its
+    variant, fitted on the config's geometry and source count (older models
+    record none); a missing, untrained or mismatched one fails before any
+    scene is drawn."""
+    needed = sorted(set(methods) & {METHOD_HYBRID, METHOD_DATA_DRIVEN})
     missing = [m for m in needed if m not in (models or {})]
     if missing:
         raise ValueError(f"missing trained models for methods {missing}")
     positions = config.geometry().positions
     for method in needed:
-        model, variant = models[method], _DNN_METHODS[method]
+        model = models[method]
+        if model.input_stats is None or model.target_stats is None:
+            raise ValueError(f"the {method!r} model has no normalization stats; "
+                             "train or load it first")
         trained_on = tuple(model.meta.get("geometry", ()))
         trained_k = model.meta.get("n_sources")
-        if model.variant != variant or trained_on != positions or trained_k not in (None, config.k):
-            raise ValueError(f"{method!r} needs a {variant!r} model trained on geometry "
+        if model.variant != method or trained_on != positions or trained_k not in (None, config.k):
+            raise ValueError(f"{method!r} needs a {method!r} model trained on geometry "
                              f"{list(positions)} with K={config.k}, got a "
                              f"{model.variant!r} model trained on {list(trained_on)} "
                              f"with K={trained_k}")
@@ -281,7 +279,7 @@ def _run_item(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float,
     ]
     crb_diag = float("nan")
     if config.wants_crb:
-        crb_diag = crb(geom, scene, config.n_snapshots).mean_diag_deg2
+        crb_diag = float(np.mean(np.diag(crb(geom, scene, config.n_snapshots))))
     return records, crb_diag
 
 
@@ -438,42 +436,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv(header: list[str], rows) -> str:
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
 def results_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
     cols = ["method", "snr_db", "mse_deg2", "res_fail_rate", "crb_deg2", "q"]
-    out.write(",".join(cols) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-    return out.getvalue()
+    return _csv(cols, ([_fmt(row[c]) for c in cols] for row in rows))
 
 
 def records_csv(records: list[TrialRecord]) -> str:
-    out = io.StringIO()
-    out.write("method,snr_db,trial,res_fail,wall_seconds,error,"
-              "true_deg,estimated_deg,squared_errors\n")
-    for r in records:
-        out.write(",".join([
-            r.method,
-            _fmt(r.snr_db),
-            str(r.trial),
-            str(int(r.resolution_failure)),
-            _fmt(r.wall_seconds),
-            (r.error or "").replace(",", ";"),
-            ";".join(_fmt(v) for v in r.true_deg),
-            ";".join(_fmt(v) for v in r.estimated_deg),
-            ";".join(_fmt(v) for v in r.squared_errors),
-        ]) + "\n")
-    return out.getvalue()
+    header = ["method", "snr_db", "trial", "res_fail", "wall_seconds", "error",
+              "true_deg", "estimated_deg", "squared_errors"]
+    return _csv(header, ([
+        r.method,
+        _fmt(r.snr_db),
+        str(r.trial),
+        str(int(r.resolution_failure)),
+        _fmt(r.wall_seconds),
+        (r.error or "").replace(",", ";"),
+        ";".join(_fmt(v) for v in r.true_deg),
+        ";".join(_fmt(v) for v in r.estimated_deg),
+        ";".join(_fmt(v) for v in r.squared_errors),
+    ] for r in records))
 
 
 def spectrum_csv(grid: np.ndarray, spectra: dict[str, np.ndarray]) -> str:
-    out = io.StringIO()
     methods = list(spectra)
-    out.write(",".join(["angle_deg"] + methods) + "\n")
-    for i, angle in enumerate(grid):
-        out.write(",".join([_fmt(float(angle))]
-                           + [_fmt(float(spectra[m][i])) for m in methods]) + "\n")
-    return out.getvalue()
+    return _csv(["angle_deg"] + methods,
+                ([_fmt(float(angle))] + [_fmt(float(spectra[m][i])) for m in methods]
+                 for i, angle in enumerate(grid)))
 
 
 def run_manifest(config: ExperimentConfig, outputs: dict[str, str]) -> str:

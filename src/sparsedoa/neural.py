@@ -27,12 +27,6 @@ import numpy as np
 from .coarray import flatten_features, redundancy_average, spatial_smoothing, unflatten_features
 from .geometry import ArrayGeometry, difference_coarray
 from .signals import (
-    Covariance,
-    R_FAILED,
-    R_FULL,
-    R_PREDICTED,
-    R_SMOOTHED,
-    R_SMOOTHED_FAILED,
     draw_angles,
     inject_failures,
     sample_covariance,
@@ -177,7 +171,7 @@ def feature_widths(geom: ArrayGeometry) -> tuple[int, int]:
     return 2 * geom.size**2, 2 * m_v**2
 
 
-def build_model(variant: str, geom: ArrayGeometry, seed=0) -> MlpModel:
+def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
     """Glorot-uniform initialized repair network for the given geometry."""
     l_dim, h_dim = feature_widths(geom)
     if variant == HYBRID:
@@ -188,7 +182,7 @@ def build_model(variant: str, geom: ArrayGeometry, seed=0) -> MlpModel:
         dropout = [0.2, 0.2, 0.2, 0.2, 0.0]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    rng = stream_rng(seed, "init", variant) if isinstance(seed, int) else seed
+    rng = stream_rng(seed, "init", variant)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims, dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -200,7 +194,7 @@ def build_model(variant: str, geom: ArrayGeometry, seed=0) -> MlpModel:
         weights=weights,
         biases=biases,
         dropout_rates=dropout,
-        meta={"geometry": list(geom.positions), "init_seed": seed if isinstance(seed, int) else None},
+        meta={"geometry": list(geom.positions), "init_seed": seed},
     )
 
 
@@ -280,26 +274,24 @@ def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators and hyperparameters."""
+    """First/second moment accumulators, step count and learning rate."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: list[np.ndarray], lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-    )
+def adam_init(params: list[np.ndarray], lr: float) -> AdamState:
+    return AdamState(m=[np.zeros_like(p) for p in params],
+                     v=[np.zeros_like(p) for p in params], lr=lr)
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -307,7 +299,7 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient/state lengths differ")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -315,7 +307,7 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        p -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +354,17 @@ class TrainingDataset:
         return self.inputs.shape[0]
 
     def fingerprint(self) -> str:
-        digest = hashlib.blake2s()
+        """Hash of the meta and of the rows as held: a dataset reloaded from
+        its float32 file hashes apart from the float64 rows it was saved from."""
+        digest = hashlib.blake2b(digest_size=32)
         digest.update(json.dumps(self.meta, sort_keys=True).encode())
-        digest.update(np.ascontiguousarray(self.inputs, dtype=np.float32).tobytes())
-        digest.update(np.ascontiguousarray(self.targets, dtype=np.float32).tobytes())
+        digest.update(np.ascontiguousarray(self.inputs))
+        digest.update(np.ascontiguousarray(self.targets))
         return digest.hexdigest()
 
 
-def repair_input(variant: str, r_full: Covariance, geom: ArrayGeometry,
-                 failures) -> Covariance:
+def repair_input(variant: str, r_full: np.ndarray, geom: ArrayGeometry,
+                 failures) -> np.ndarray:
     """Damaged covariance the variant's network repairs: the failed array's
     smoothed matrix for hybrid (``redundancy_average`` reads only active
     sensors, so no zeroed copy is needed), the physical matrix with failed
@@ -510,29 +504,15 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
 # prediction
 # ---------------------------------------------------------------------------
 
-_ACCEPTED_ROLES = {
-    HYBRID: {R_SMOOTHED_FAILED, R_SMOOTHED},
-    DATA_DRIVEN: {R_FAILED, R_FULL},
-}
-
-
-def predict_covariance(model: MlpModel, r: Covariance) -> Covariance:
-    """Repairs a damaged covariance: returns the predicted smoothed matrix.
-
-    The input role must match the variant (the smoothed matrix for
-    hybrid, the physical matrix for data-driven; the undamaged roles are
-    accepted so a zero-failure pass-through stays valid).
-    """
+def predict_covariance(model: MlpModel, r_full: np.ndarray, geom: ArrayGeometry,
+                       failures) -> np.ndarray:
+    """Repairs the covariance of ``geom`` with the sensors in ``failures``
+    failed: the network's input is built from ``r_full``, the physical
+    covariance of every sensor, by ``repair_input`` for the model's own
+    variant, as its training rows were. Returns the predicted smoothed matrix."""
     if model.input_stats is None or model.target_stats is None:
         raise ValueError("model has no normalization stats; train or load it first")
-    if not isinstance(r, Covariance):
-        raise TypeError("predict_covariance expects a Covariance")
-    if r.role not in _ACCEPTED_ROLES[model.variant]:
-        raise ValueError(
-            f"covariance role {r.role!r} does not match variant {model.variant!r} "
-            f"(expected one of {sorted(_ACCEPTED_ROLES[model.variant])})"
-        )
-    features = flatten_features(r)
+    features = flatten_features(repair_input(model.variant, r_full, geom, failures))
     if features.size != model.d_in:
         raise ValueError(
             f"feature length {features.size} does not match model input {model.d_in}"
@@ -543,12 +523,41 @@ def predict_covariance(model: MlpModel, r: Covariance) -> Covariance:
         raise FloatingPointError("repair network output is not finite")
     denorm = minmax_invert(out[0], model.target_stats)
     m_v = int(round(np.sqrt(model.d_out / 2)))
-    return unflatten_features(denorm, m_v, role=R_PREDICTED)
+    return unflatten_features(denorm, m_v)
 
 
 # ---------------------------------------------------------------------------
 # file formats: one-line JSON header + raw parameter/record block
 # ---------------------------------------------------------------------------
+
+def _write_file(path, header: dict, blocks) -> None:
+    """The header as one JSON line, then the raw bytes of each array block."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block))
+
+
+def _read_file(path, magic: str, body_bytes) -> tuple[dict, bytearray]:
+    """Header and data block of a file written by ``_write_file``. Rejects
+    another format, and data whose size is not exactly ``body_bytes(header)``
+    (truncated or with trailing data)."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        if not isinstance(header, dict) or header.get("format") != magic:
+            raise ValueError(f"not a {magic} file: {path}")
+        expected = body_bytes(header)
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise ValueError(f"{path}: header implies {expected} data bytes, found {found}")
+        body = bytearray(expected)
+        fh.readinto(body)
+    return header, body
+
+
+def _parameter_sizes(dims) -> list[int]:
+    return [n for fan_in, fan_out in zip(dims, dims[1:]) for n in (fan_in * fan_out, fan_out)]
+
 
 def save_model(model: MlpModel, path) -> None:
     """JSON header line + float64 little-endian parameters, layer-major."""
@@ -561,45 +570,28 @@ def save_model(model: MlpModel, path) -> None:
         "target_stats": model.target_stats.to_jsonable() if model.target_stats else None,
         "meta": model.meta,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-
-
-def _check_body_size(fh, path, expected: int) -> None:
-    """Rejects a file whose bytes after the header line are not exactly
-    what the header's dims imply (truncated or with trailing data)."""
-    found = os.fstat(fh.fileno()).st_size - fh.tell()
-    if found != expected:
-        raise ValueError(f"{path}: header implies {expected} data bytes, found {found}")
+    _write_file(path, header, (p.astype("<f8", copy=False) for p in model.parameters()))
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != MODEL_MAGIC:
-            raise ValueError(f"not a model file: {path}")
-        dims = header["layer_dims"]
-        _check_body_size(fh, path, 8 * sum((a + 1) * b for a, b in zip(dims, dims[1:])))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8")
-            weights.append(w.reshape(fan_in, fan_out).copy())
-            biases.append(np.frombuffer(fh.read(8 * fan_out), dtype="<f8").copy())
+    header, body = _read_file(path, MODEL_MAGIC,
+                              lambda h: 8 * sum(_parameter_sizes(h["layer_dims"])))
+    dims = header["layer_dims"]
+    params = np.split(np.frombuffer(body, dtype="<f8"),
+                      np.cumsum(_parameter_sizes(dims))[:-1])
+    stats = {key: NormStats.from_jsonable(header[key]) if header[key] else None
+             for key in ("input_stats", "target_stats")}
     model = MlpModel(
         variant=header["variant"],
         layer_dims=dims,
-        weights=weights,
-        biases=biases,
+        weights=[w.reshape(a, b) for w, a, b in zip(params[::2], dims, dims[1:])],
+        biases=params[1::2],
         dropout_rates=header["dropout_rates"],
-        input_stats=NormStats.from_jsonable(header["input_stats"]) if header["input_stats"] else None,
-        target_stats=NormStats.from_jsonable(header["target_stats"]) if header["target_stats"] else None,
         meta=header.get("meta", {}),
+        **stats,
     )
-    stats = [s for s in (model.input_stats, model.target_stats) if s is not None]
-    arrays = model.parameters() + [a for s in stats for a in (s.minimum, s.maximum)]
+    arrays = params + [a for s in stats.values() if s is not None
+                       for a in (s.minimum, s.maximum)]
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"{path}: non-finite parameters or normalization stats")
     return model
@@ -614,23 +606,15 @@ def save_dataset(dataset: TrainingDataset, path) -> None:
         "d_out": dataset.targets.shape[1],
         "meta": dataset.meta,
     }
-    records = np.concatenate(
-        [dataset.inputs.astype("<f4"), dataset.targets.astype("<f4")], axis=1
-    )
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(records).tobytes())
+    _write_file(path, header, [np.concatenate(
+        [dataset.inputs.astype("<f4"), dataset.targets.astype("<f4")], axis=1)])
 
 
 def load_dataset(path) -> TrainingDataset:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != DATASET_MAGIC:
-            raise ValueError(f"not a dataset file: {path}")
-        n, d_in, d_out = header["n_samples"], header["d_in"], header["d_out"]
-        _check_body_size(fh, path, 4 * n * (d_in + d_out))
-        records = np.frombuffer(fh.read(4 * n * (d_in + d_out)), dtype="<f4")
-    records = records.reshape(n, d_in + d_out).astype(np.float64)
+    header, body = _read_file(path, DATASET_MAGIC,
+                              lambda h: 4 * h["n_samples"] * (h["d_in"] + h["d_out"]))
+    n, d_in, d_out = header["n_samples"], header["d_in"], header["d_out"]
+    records = np.frombuffer(body, dtype="<f4").reshape(n, d_in + d_out).astype(np.float64)
     return TrainingDataset(
         inputs=records[:, :d_in].copy(),
         targets=records[:, d_in:].copy(),

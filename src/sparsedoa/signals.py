@@ -17,12 +17,6 @@ from .geometry import ArrayGeometry
 
 __all__ = [
     "SourceScene",
-    "Covariance",
-    "R_FULL",
-    "R_FAILED",
-    "R_SMOOTHED",
-    "R_SMOOTHED_FAILED",
-    "R_PREDICTED",
     "scene_from_snr",
     "draw_angles",
     "steering_matrix",
@@ -33,14 +27,6 @@ __all__ = [
     "stream_seed",
     "stream_rng",
 ]
-
-# Role tags carried by covariance matrices through the pipeline.
-R_FULL = "full"
-R_FAILED = "failed"
-R_SMOOTHED = "smoothed"
-R_SMOOTHED_FAILED = "smoothed-failed"
-R_PREDICTED = "predicted"
-
 
 @dataclass(frozen=True)
 class SourceScene:
@@ -92,30 +78,6 @@ def draw_angles(k: int, lo: float, hi: float, min_gap: float,
     return lo + u + min_gap * np.arange(k)
 
 
-@dataclass
-class Covariance:
-    """Complex covariance matrix with a pipeline role tag."""
-
-    values: np.ndarray
-    role: str = R_FULL
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError(f"covariance must be square, got {self.values.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-def cov_values(r) -> np.ndarray:
-    """Accepts a Covariance or a bare array and returns the ndarray."""
-    if isinstance(r, Covariance):
-        return r.values
-    return np.asarray(r, dtype=np.complex128)
-
-
 def steering_matrix(geom, angles_deg) -> np.ndarray:
     """Steering matrix with entries exp(j*pi*d_i*sin(theta_k)).
 
@@ -162,22 +124,22 @@ def simulate_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int
     return a @ x + noise
 
 
-def sample_covariance(y: np.ndarray) -> Covariance:
+def sample_covariance(y: np.ndarray) -> np.ndarray:
     """Sample covariance (1/N) * Y Y^H of an M x N snapshot matrix."""
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2 or y.shape[1] < 1:
         raise ValueError("snapshot matrix must be M x N with N >= 1")
-    r = (y @ y.conj().T) / y.shape[1]
-    return Covariance(r, role=R_FULL)
+    return (y @ y.conj().T) / y.shape[1]
 
 
-def inject_failures(r: Covariance, failed) -> Covariance:
-    """Zeroes the rows and columns of failed sensors (2*M*M1 - M1^2 entries)."""
-    values = np.array(cov_values(r), copy=True)
+def inject_failures(r: np.ndarray, failed) -> np.ndarray:
+    """Copy of R with the rows and columns of failed sensors zeroed
+    (2*M*M1 - M1^2 entries)."""
+    values = np.array(r, dtype=np.complex128)
     idx = _failed_rows(values.shape[0], failed)
     values[idx, :] = 0.0
     values[:, idx] = 0.0
-    return Covariance(values, role=R_FAILED)
+    return values
 
 
 def _failed_rows(m: int, failed) -> list[int]:
@@ -187,14 +149,14 @@ def _failed_rows(m: int, failed) -> list[int]:
     return [i - 1 for i in idx]
 
 
-def analytic_covariance(geom: ArrayGeometry, scene: SourceScene) -> Covariance:
+def analytic_covariance(geom: ArrayGeometry, scene: SourceScene) -> np.ndarray:
     """Exact covariance A diag(powers) A^H + noise_power * I (no sampling)."""
     m = geom.size
     r = scene.noise_power * np.eye(m, dtype=np.complex128)
     if scene.k:
         a = steering_matrix(geom, scene.angles_deg)
         r = r + (a * np.asarray(scene.powers)) @ a.conj().T
-    return Covariance(r, role=R_FULL)
+    return r
 
 
 def _uint64(value, what: str) -> int:

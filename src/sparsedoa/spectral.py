@@ -12,12 +12,11 @@ from scipy.signal import find_peaks
 
 from .coarray import khatri_rao, vectorize_covariance
 from .geometry import ArrayGeometry
-from .signals import SourceScene, cov_values, steering_matrix
+from .signals import SourceScene, steering_matrix
 
 __all__ = [
     "MusicSpectrum",
     "PeakResult",
-    "CrbResult",
     "hermitian_eig",
     "music_spectrum",
     "pick_peaks",
@@ -34,7 +33,6 @@ class MusicSpectrum:
 
     grid: np.ndarray
     values: np.ndarray
-    k: int
 
 
 class PeakResult(NamedTuple):
@@ -48,7 +46,7 @@ def hermitian_eig(r):
     Verifies finiteness and Hermitian symmetry (to 1e-8 relative) before
     decomposing, so overflow or conjugation bugs upstream fail loudly.
     """
-    values = cov_values(r)
+    values = np.asarray(r, dtype=np.complex128)
     if not np.isfinite(values).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     scale = np.linalg.norm(values)
@@ -72,16 +70,15 @@ def music_spectrum(r, k: int, grid_step: float = 0.05) -> MusicSpectrum:
     method hands MUSIC a spatially-smoothed matrix). The noise subspace
     E_n spans the dim - k smallest eigenpairs.
     """
-    values = cov_values(r)
-    dim = values.shape[0]
+    dim = len(r)
     if not 1 <= k < dim:
         raise ValueError(f"source count {k} must satisfy 1 <= k < dim {dim}")
-    _, v = hermitian_eig(values)
+    _, v = hermitian_eig(r)
     noise = v[:, : dim - k]
     grid, a = _grid_and_steering(dim, float(grid_step))
     denom = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
     tiny = np.finfo(np.float64).tiny
-    return MusicSpectrum(grid=grid.copy(), values=1.0 / np.maximum(denom, tiny), k=k)
+    return MusicSpectrum(grid=grid.copy(), values=1.0 / np.maximum(denom, tiny))
 
 
 def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakResult:
@@ -120,29 +117,15 @@ def doa_mse(estimates, truths) -> float:
     return float(np.mean(err**2))
 
 
-@dataclass
-class CrbResult:
-    """Cramer-Rao bound on the DOA estimates, in degrees squared."""
-
-    matrix_deg2: np.ndarray
-
-    @property
-    def diagonal_deg2(self) -> np.ndarray:
-        return np.diag(self.matrix_deg2).copy()
-
-    @property
-    def mean_diag_deg2(self) -> float:
-        return float(np.mean(np.diag(self.matrix_deg2)))
-
-
 def _steering_derivative(positions: np.ndarray, angles_deg) -> np.ndarray:
     theta = np.deg2rad(np.asarray(angles_deg, dtype=np.float64))
     a = np.exp(1j * np.pi * np.outer(positions, np.sin(theta)))
     return 1j * np.pi * positions[:, None] * np.cos(theta)[None, :] * a
 
 
-def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> CrbResult:
-    """Unconditional-model Cramer-Rao bound for the source angles.
+def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray:
+    """Unconditional-model Cramer-Rao bound for the source angles: the
+    K x K bound matrix in degrees squared.
 
     Built from the Fisher information of vec(R). With W = (R^T kron R)^{-1/2}
     and (.) the column-wise Kronecker product, the angle block is
@@ -191,4 +174,4 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> CrbResult:
             "the scene is not identifiable"
         ) from exc
     crb_rad = (crb_rad + crb_rad.T) / 2.0
-    return CrbResult(matrix_deg2=crb_rad * RAD2DEG_SQ)
+    return crb_rad * RAD2DEG_SQ

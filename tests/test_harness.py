@@ -27,7 +27,8 @@ from sparsedoa.harness import (
     _blas_thread_setter,
     _init_worker,
 )
-from sparsedoa.neural import load_model, save_model
+from sparsedoa import harness
+from sparsedoa.neural import HYBRID, build_model, load_model, save_model
 from sparsedoa.spectral import doa_mse
 
 # small paired-method configuration used throughout this module
@@ -254,10 +255,20 @@ class TestEntryPointModelChecks:
             run_trial(MINI, METHOD_HYBRID, 10.0, 0, models={METHOD_HYBRID: dd_model})
 
     def test_spectrum_with_wrong_variant_rejected(self, dd_model):
-        # the model check fires, not the covariance-role check inside the network call
         with pytest.raises(ValueError, match="got a 'data-driven' model"):
             emit_spectrum(MINI, 10.0, models={METHOD_HYBRID: dd_model},
                           methods=(METHOD_NONE, METHOD_HYBRID))
+
+    def test_untrained_model_rejected(self):
+        # it used to be booked as errored trials: NaN MSE with q = 0
+        models = {METHOD_HYBRID: build_model(HYBRID, MINI.geometry(), seed=0)}
+        cfg = dataclasses.replace(MINI, methods=(METHOD_NONE, METHOD_HYBRID))
+        calls = (lambda: run_sweep(cfg, models),
+                 lambda: run_trial(MINI, METHOD_HYBRID, 10.0, 0, models=models),
+                 lambda: emit_spectrum(MINI, 10.0, models=models, methods=(METHOD_HYBRID,)))
+        for call in calls:
+            with pytest.raises(ValueError, match="'hybrid' model has no normalization"):
+                call()
 
     def test_matching_model_runs_in_trial_and_spectrum(self, dd_model):
         models = {METHOD_DATA_DRIVEN: dd_model}
@@ -294,6 +305,32 @@ class TestEntryPointModelChecks:
         cfg = dataclasses.replace(MINI, methods=(METHOD_NONE, METHOD_DATA_DRIVEN), q_trials=1)
         with pytest.raises(FloatingPointError, match="not finite"):
             run_sweep(cfg, models=models)
+
+
+class TestTrialErrors:
+    """Only a failed linear-algebra step is booked as an errored record;
+    any other error in a trial is a bug and propagates."""
+
+    @staticmethod
+    def _raise(exc):
+        def fail(*args, **kwargs):
+            raise exc
+        return fail
+
+    def test_value_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(harness, "pick_peaks", self._raise(ValueError("bug")))
+        with pytest.raises(ValueError, match="bug"):
+            run_trial(MINI, METHOD_NONE, 10.0, 0)
+        with pytest.raises(ValueError, match="bug"):
+            run_sweep(MINI)
+
+    def test_linalg_error_is_booked(self, monkeypatch):
+        monkeypatch.setattr(harness, "pick_peaks",
+                            self._raise(np.linalg.LinAlgError("singular")))
+        rec = run_trial(MINI, METHOD_NONE, 10.0, 0)
+        assert rec.error == "LinAlgError: singular" and rec.resolution_failure
+        row = run_sweep(dataclasses.replace(MINI, methods=(METHOD_NONE,))).rows[0]
+        assert np.isnan(row["mse_deg2"]) and row["q"] == 0 and row["res_fail_rate"] == 1.0
 
 
 class TestPaperGeometry:

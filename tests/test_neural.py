@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedoa.coarray import flatten_features, spatial_smoothing, redundancy_average
-from sparsedoa.geometry import mra_lookup
+from sparsedoa.coarray import (
+    flatten_features,
+    redundancy_average,
+    spatial_smoothing,
+    unflatten_features,
+)
+from sparsedoa.geometry import ArrayGeometry, mra_lookup
 from sparsedoa.neural import (
     DATA_DRIVEN,
     HYBRID,
@@ -43,6 +48,7 @@ from sparsedoa.signals import (
 )
 
 GEOM5 = mra_lookup(5)
+ULA4 = ArrayGeometry((0, 1, 2, 3))
 DESK_POLICY = ScenePolicy(n_sources=3, n_snapshots=64)
 
 
@@ -270,6 +276,16 @@ class TestGenerateDataset:
         assert loaded.meta["variant"] == DATA_DRIVEN
         assert loaded.n_samples == 3
 
+    def test_fingerprint_tells_reloaded_rows_apart(self, tmp_path):
+        # the file holds float32 rows, so a reloaded dataset is not the one
+        # held in memory, and a model trained on it is not the same model
+        ds = generate_dataset(DATA_DRIVEN, GEOM5, DESK_POLICY, 3, seed=4)
+        save_dataset(ds, tmp_path / "ds.bin")
+        loaded = load_dataset(tmp_path / "ds.bin")
+        assert not np.array_equal(loaded.inputs, ds.inputs)
+        assert loaded.fingerprint() != ds.fingerprint()
+        assert load_dataset(tmp_path / "ds.bin").fingerprint() == loaded.fingerprint()
+
     @pytest.mark.parametrize("cut", [-8, 8])
     def test_file_rejects_short_or_trailing_data(self, tmp_path, cut):
         path = tmp_path / "ds.bin"
@@ -305,14 +321,12 @@ class TestRepairInput:
         got = repair_input(HYBRID, r, geom, failures)
         want = spatial_smoothing(redundancy_average(inject_failures(r, failures),
                                                     geom.with_failures(failures)))
-        assert got.role == want.role
-        npt.assert_array_equal(got.values, want.values)
+        npt.assert_array_equal(got, want)
 
     def test_data_driven_is_injected_physical_matrix(self):
         r = analytic_covariance(GEOM5, scene_from_snr((15.0, 30.0), 0.0))
         got = repair_input(DATA_DRIVEN, r, GEOM5, {2, 4})
-        npt.assert_array_equal(got.values, inject_failures(r, {2, 4}).values)
-        assert got.role == "failed"
+        npt.assert_array_equal(got, inject_failures(r, {2, 4}))
 
     def test_unknown_variant(self):
         r = analytic_covariance(GEOM5, scene_from_snr((15.0,), 0.0))
@@ -393,53 +407,71 @@ def trained_pair():
     return models
 
 
+@pytest.fixture(scope="module")
+def ula_pair():
+    """Both variants briefly trained on the 4-sensor ULA, where the physical
+    width L = 2*M^2 equals the smoothed width H = 2*m_v^2 = 32."""
+    models = {}
+    for variant in (HYBRID, DATA_DRIVEN):
+        ds = generate_dataset(variant, ULA4, ScenePolicy(n_sources=2, n_snapshots=32), 40, seed=3)
+        model = build_model(variant, ULA4, seed=3)
+        train(model, ds, epochs=1, batch_size=16, seed=3)
+        models[variant] = model
+    return models
+
+
 class TestPredictCovariance:
-    def _damaged_inputs(self):
+    FAILED = {1, 3}
+
+    def _full_covariance(self, seed=31):
         scene = scene_from_snr((15.0, 30.0, 52.0), 5.0)
-        y = simulate_snapshots(GEOM5, scene, 64, seed=31)
-        r_m = inject_failures(sample_covariance(y), {1, 3})
-        r_sm = spatial_smoothing(redundancy_average(r_m, GEOM5.with_failures({1, 3})))
-        return r_m, r_sm
+        return sample_covariance(simulate_snapshots(GEOM5, scene, 64, seed=seed))
 
     def test_output_hermitian_and_sized(self, trained_pair):
-        r_m, r_sm = self._damaged_inputs()
-        for variant, r_in in ((HYBRID, r_sm), (DATA_DRIVEN, r_m)):
-            out = predict_covariance(trained_pair[variant], r_in)
-            assert out.values.shape == (10, 10)
-            assert out.role == "predicted"
-            npt.assert_array_equal(out.values, out.values.conj().T)
+        r = self._full_covariance()
+        for variant in (HYBRID, DATA_DRIVEN):
+            out = predict_covariance(trained_pair[variant], r, GEOM5, self.FAILED)
+            assert out.shape == (10, 10) and out.dtype == np.complex128
+            npt.assert_array_equal(out, out.conj().T)
 
-    def test_role_mismatch_rejected(self, trained_pair):
-        r_m, r_sm = self._damaged_inputs()
-        with pytest.raises(ValueError, match="role"):
-            predict_covariance(trained_pair[HYBRID], r_m)
-        with pytest.raises(ValueError, match="role"):
-            predict_covariance(trained_pair[DATA_DRIVEN], r_sm)
+    def test_each_variant_builds_its_own_input(self, ula_pair):
+        # the feature width alone cannot tell the two damaged inputs apart here
+        assert feature_widths(ULA4) == (32, 32)
+        r = sample_covariance(simulate_snapshots(
+            ULA4, scene_from_snr((-20.0, 35.0), 5.0), 32, seed=4))
+        inputs = {}
+        for variant, model in ula_pair.items():
+            inputs[variant] = flatten_features(repair_input(variant, r, ULA4, {2}))
+            x = minmax_apply(inputs[variant][None, :], model.input_stats)
+            out = minmax_invert(mlp_forward(model, x)[0], model.target_stats)
+            npt.assert_array_equal(predict_covariance(model, r, ULA4, {2}),
+                                   unflatten_features(out, 4))
+        assert not np.allclose(inputs[HYBRID], inputs[DATA_DRIVEN])
+
+    def test_other_geometry_rejected_by_width(self, trained_pair):
+        geom4 = mra_lookup(4)
+        r = analytic_covariance(geom4, scene_from_snr((15.0, 30.0), 5.0))
+        for model in trained_pair.values():
+            with pytest.raises(ValueError, match="does not match model input"):
+                predict_covariance(model, r, geom4, {1})
 
     def test_zero_failure_roles_accepted(self, trained_pair):
-        scene = scene_from_snr((15.0, 30.0, 52.0), 5.0)
-        y = simulate_snapshots(GEOM5, scene, 64, seed=32)
-        r = sample_covariance(y)
-        out_dd = predict_covariance(trained_pair[DATA_DRIVEN], inject_failures(r, set()))
-        assert out_dd.values.shape == (10, 10)
-        r_ss = spatial_smoothing(redundancy_average(r, GEOM5))
-        out_h = predict_covariance(trained_pair[HYBRID], r_ss)
-        assert out_h.values.shape == (10, 10)
+        r = self._full_covariance(seed=32)
+        for model in trained_pair.values():
+            assert predict_covariance(model, r, GEOM5, ()).shape == (10, 10)
 
     @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
     def test_non_finite_output_raises(self, trained_pair, variant):
         model = copy.deepcopy(trained_pair[variant])
         model.weights[0][0, 0] = np.nan
-        r_m, r_sm = self._damaged_inputs()
         with pytest.raises(FloatingPointError, match="not finite"):
-            predict_covariance(model, r_sm if variant == HYBRID else r_m)
+            predict_covariance(model, self._full_covariance(), GEOM5, self.FAILED)
 
     def test_untrained_model_rejected(self):
         model = build_model(HYBRID, GEOM5, seed=0)
-        r_ss = spatial_smoothing(redundancy_average(
-            analytic_covariance(GEOM5, scene_from_snr((10.0,), 0.0)), GEOM5))
+        r = analytic_covariance(GEOM5, scene_from_snr((10.0,), 0.0))
         with pytest.raises(ValueError, match="normalization"):
-            predict_covariance(model, r_ss)
+            predict_covariance(model, r, GEOM5, ())
 
 
 class TestModelFile:
@@ -470,6 +502,14 @@ class TestModelFile:
         path.write_bytes(b'{"format": "nope"}\n')
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_rejects_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.bin"
+        path.write_bytes(b"[1, 2]\n")
+        with pytest.raises(ValueError, match="list.bin"):
+            load_model(path)
+        with pytest.raises(ValueError, match="list.bin"):
+            load_dataset(path)
 
     @pytest.mark.parametrize("cut", [-8, 8])
     def test_rejects_short_or_trailing_data(self, tmp_path, trained_pair, cut):
