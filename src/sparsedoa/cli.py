@@ -42,7 +42,7 @@ def _out_dir(args) -> Path:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment config file")
     parser.add_argument("--preset", default="desk",
-                        choices=["paper", "paper-alt", "desk"],
+                        choices=list(harness.PRESETS),
                         help="named configuration when --config is absent")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", help="output directory (default: cwd)")
@@ -96,10 +96,12 @@ def cmd_simulate(args) -> int:
         features = flatten_features(sample_covariance(y))
         meta = {"kind": "covariance", "dim": geom.size}
     else:
-        signal = redundancy_average(sample_covariance(y), geom)
-        features = np.concatenate([signal.z.real, signal.z.imag,
-                                   signal.available.astype(np.float64)])
-        meta = {"kind": "coarray", "m_v": signal.m_v}
+        z = redundancy_average(sample_covariance(y), geom)
+        m_v = (z.size + 1) // 2
+        present = difference_coarray(geom).weights
+        available = [float(lag in present) for lag in range(1 - m_v, m_v)]
+        features = np.concatenate([z.real, z.imag, available])
+        meta = {"kind": "coarray", "m_v": m_v}
     meta.update({"snr_db": args.snr, "trial": args.trial,
                  "angles_deg": list(scene.angles_deg)})
     dataset = neural.TrainingDataset(

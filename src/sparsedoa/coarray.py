@@ -3,14 +3,11 @@ spatial smoothing, and real-feature packing for the repair networks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import ArrayGeometry, difference_coarray
 
 __all__ = [
-    "CoarraySignal",
     "vectorize_covariance",
     "khatri_rao",
     "redundancy_average",
@@ -18,26 +15,6 @@ __all__ = [
     "flatten_features",
     "unflatten_features",
 ]
-
-
-@dataclass
-class CoarraySignal:
-    """Virtual-ULA signal over lags -(m_v-1) .. m_v-1.
-
-    ``z[i]`` holds the lag i - (m_v - 1); ``available`` marks lags that
-    survived failure (holes are stored as exact zeros with available
-    False).
-    """
-
-    z: np.ndarray
-    available: np.ndarray
-    m_v: int
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.complex128)
-        self.available = np.asarray(self.available, dtype=bool)
-        if self.z.shape != (2 * self.m_v - 1,) or self.available.shape != self.z.shape:
-            raise ValueError("coarray signal must cover 2*m_v - 1 lags")
 
 
 def vectorize_covariance(r) -> np.ndarray:
@@ -52,13 +29,14 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
-def redundancy_average(r, geom: ArrayGeometry) -> CoarraySignal:
+def redundancy_average(r, geom: ArrayGeometry) -> np.ndarray:
     """Averages covariance entries sharing the same lag into the coarray signal.
 
-    Lag l collects R[m, n] over all active ordered pairs with
-    d_m - d_n = l. The signal length is fixed by the failure-free
-    geometry's m_v; lags whose every generating pair involves a failed
-    sensor become holes (zero value, available False).
+    Returns z of length 2*m_v - 1, where z[i] holds the lag i - (m_v - 1)
+    and m_v is fixed by the failure-free geometry. Lag l collects R[m, n]
+    over all active ordered pairs with d_m - d_n = l; lags whose every
+    generating pair involves a failed sensor are holes, stored as exact
+    zeros.
     """
     values = np.asarray(r, dtype=np.complex128)
     if values.shape[0] != geom.size:
@@ -81,11 +59,12 @@ def redundancy_average(r, geom: ArrayGeometry) -> CoarraySignal:
     available = counts > 0
     z = np.zeros(n_lags, dtype=np.complex128)
     z[available] = sums[available] / counts[available]
-    return CoarraySignal(z=z, available=available, m_v=m_v)
+    return z
 
 
-def spatial_smoothing(signal: CoarraySignal) -> np.ndarray:
-    """Rank-restoring spatial smoothing of the coarray signal.
+def spatial_smoothing(z: np.ndarray) -> np.ndarray:
+    """Rank-restoring spatial smoothing of the coarray signal z over lags
+    -(m_v-1) .. m_v-1, so m_v = (len(z) + 1) / 2.
 
     Averages the outer products of the m_v ascending-lag windows
     w_i = z[i : i + m_v] (window i spans lags i - (m_v-1) .. i), giving an
@@ -93,10 +72,11 @@ def spatial_smoothing(signal: CoarraySignal) -> np.ndarray:
     ascending virtual-ULA steering convention. Holes contribute their
     stored zeros.
     """
-    if signal.z.ndim != 1 or signal.z.size % 2 == 0:
-        raise ValueError("coarray signal length must be odd")
-    m_v = signal.m_v
-    windows = np.lib.stride_tricks.sliding_window_view(signal.z, m_v)
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim != 1 or z.size % 2 == 0:
+        raise ValueError("coarray signal must be a 1-D vector of odd length")
+    m_v = (z.size + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(z, m_v)
     return (windows.T @ windows.conj()) / m_v
 
 
@@ -106,15 +86,16 @@ def flatten_features(r) -> np.ndarray:
     return np.concatenate([vec.real, vec.imag])
 
 
-def unflatten_features(v: np.ndarray, dim: int) -> np.ndarray:
-    """Rebuilds a Hermitian matrix from flattened features.
+def unflatten_features(v: np.ndarray) -> np.ndarray:
+    """Rebuilds a Hermitian dim x dim matrix from 2*dim^2 flattened features.
 
     Inverse of flatten_features up to the Hermitian projection
     (Z + Z^H) / 2, which is exact on features of a Hermitian matrix.
     """
     v = np.asarray(v, dtype=np.float64).reshape(-1)
+    dim = int(np.sqrt(v.size // 2))
     if v.size != 2 * dim * dim:
-        raise ValueError(f"expected {2 * dim * dim} features for dim {dim}, got {v.size}")
+        raise ValueError(f"feature length {v.size} is not 2*dim^2 for any dim")
     half = dim * dim
     z = (v[:half] + 1j * v[half:]).reshape((dim, dim), order="F")
     return (z + z.conj().T) / 2.0

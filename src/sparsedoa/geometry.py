@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "ArrayGeometry",
     "DifferenceCoarray",
@@ -71,10 +69,6 @@ class ArrayGeometry:
     @property
     def active_positions(self) -> tuple[int, ...]:
         return tuple(self.positions[i - 1] for i in self.active_indices)
-
-    def position_array(self, active_only: bool = False) -> np.ndarray:
-        pos = self.active_positions if active_only else self.positions
-        return np.asarray(pos, dtype=np.int64)
 
     def with_failures(self, failed) -> "ArrayGeometry":
         """Same positions with a replaced failure set."""

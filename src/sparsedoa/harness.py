@@ -51,6 +51,7 @@ __all__ = [
     "METHOD_HYBRID",
     "METHOD_DATA_DRIVEN",
     "METHOD_CRB",
+    "PRESETS",
     "ExperimentConfig",
     "TrialRecord",
     "SweepResult",
@@ -118,6 +119,9 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
+        if not self.estimation_methods:
+            raise ValueError(f"no estimation method in {list(self.methods)}; crb adds a column")
+        self.geometry().with_failures(self.test_failures)  # rejects indices outside 1..M
         m_v = difference_coarray(self.geometry()).m_v
         if not 1 <= self.k < m_v:
             raise ValueError(f"source count k={self.k} must satisfy 1 <= k < m_v={m_v} "
@@ -144,27 +148,27 @@ class ExperimentConfig:
         return cls(**json.loads(text))
 
 
+PRESETS = {
+    "paper": {},
+    "paper-alt": {"test_failures": (1, 4)},
+    "desk": {
+        "m": 5,
+        "k": 3,
+        "q_trials": 300,
+        "test_snrs_db": (-10.0, -4.0, 0.0, 4.0, 10.0),
+        "test_failures": (1, 3),
+        "n_train_samples": 20_000,
+    },
+}
+
+
 def preset(name: str, **overrides) -> ExperimentConfig:
-    """Named configurations: ``paper`` (full-scale protocol, failures at
-    sensors 1 and 5), ``paper-alt`` (failures at 1 and 4), and ``desk``
-    (scaled-down run that finishes on a laptop)."""
-    if name == "paper":
-        base = {}
-    elif name == "paper-alt":
-        base = {"test_failures": (1, 4)}
-    elif name == "desk":
-        base = {
-            "m": 5,
-            "k": 3,
-            "q_trials": 300,
-            "test_snrs_db": (-10.0, -4.0, 0.0, 4.0, 10.0),
-            "test_failures": (1, 3),
-            "n_train_samples": 20_000,
-        }
-    else:
-        raise ValueError(f"unknown preset {name!r} (use paper, paper-alt, or desk)")
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    """``PRESETS[name]`` over the ExperimentConfig defaults, then ``overrides``:
+    ``paper`` (full-scale protocol, failures at sensors 1 and 5), ``paper-alt``
+    (failures at 1 and 4), and ``desk`` (scaled-down run that finishes on a laptop)."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (use {', '.join(PRESETS)})")
+    return ExperimentConfig(**{**PRESETS[name], **overrides})
 
 
 @dataclass
@@ -176,10 +180,14 @@ class TrialRecord:
     method: str
     estimated_deg: tuple[float, ...]
     true_deg: tuple[float, ...]
-    squared_errors: tuple[float, ...]
     resolution_failure: bool
     wall_seconds: float
     error: str | None = None
+
+    @property
+    def squared_errors(self) -> tuple[float, ...]:
+        """Per-source squared error (deg^2) of the angle-ascending estimates."""
+        return tuple((e - t) * (e - t) for e, t in zip(self.estimated_deg, self.true_deg))
 
 
 def trial_snapshots(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float,
@@ -213,13 +221,11 @@ def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db
     """One method's record on one trial; a failed linear-algebra step books an
     errored record, and any other error propagates."""
     tic = time.perf_counter()
-    estimated = squared = (float("nan"),) * config.k
+    estimated = (float("nan"),) * config.k
     resolution_failure, error = True, None
     try:
         peaks = pick_peaks(_spectrum(config, geom, method, r_full, models), config.k)
-        errs = np.sort(peaks.angles_deg) - np.asarray(scene.angles_deg)
         estimated = tuple(float(a) for a in peaks.angles_deg)
-        squared = tuple(float(e * e) for e in errs)
         resolution_failure = bool(peaks.resolution_failure)
     except np.linalg.LinAlgError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -229,7 +235,6 @@ def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db
         method=method,
         estimated_deg=estimated,
         true_deg=tuple(float(a) for a in scene.angles_deg),
-        squared_errors=squared,
         resolution_failure=resolution_failure,
         wall_seconds=time.perf_counter() - tic,
         error=error,
@@ -404,23 +409,22 @@ def training_policy(config: ExperimentConfig) -> ScenePolicy:
     )
 
 
-def train_variant(config: ExperimentConfig, variant: str,
-                  train_seed: int | None = None, dataset=None):
-    """Generates the variant's dataset (unless given) and trains its model."""
+def train_variant(config: ExperimentConfig, variant: str, dataset=None):
+    """Generates the variant's dataset (unless given) and trains its model,
+    both seeded by the config's master seed."""
     geom = config.geometry()
     if dataset is None:
         dataset = generate_dataset(
             variant, geom, training_policy(config), config.n_train_samples,
             seed=config.master_seed,
         )
-    seed = config.master_seed if train_seed is None else train_seed
-    model = build_model(variant, geom, seed=seed)
+    model = build_model(variant, geom, seed=config.master_seed)
     history = train(
         model, dataset,
         epochs=config.epochs,
         batch_size=config.batch_size,
         split=0.8,
-        seed=seed,
+        seed=config.master_seed,
         lr=config.learning_rate,
     )
     return model, history

@@ -331,8 +331,7 @@ class ScenePolicy:
     def draw_scene(self, rng: np.random.Generator):
         angles = draw_angles(self.n_sources, self.angle_min, self.angle_max,
                              self.min_gap, rng)
-        snr_db = rng.uniform(self.snr_min, self.snr_max)
-        return scene_from_snr(angles, snr_db), snr_db
+        return scene_from_snr(angles, rng.uniform(self.snr_min, self.snr_max))
 
     def draw_failures(self, n_sensors: int, rng: np.random.Generator) -> frozenset[int]:
         low = 0 if self.include_no_failure else 1
@@ -394,7 +393,7 @@ def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
     targets = np.empty((n_samples, h_dim), dtype=np.float64)
     rng = stream_rng(seed, "dataset", variant)
     for i in range(n_samples):
-        scene, _ = policy.draw_scene(rng)
+        scene = policy.draw_scene(rng)
         failures = policy.draw_failures(geom.size, rng)
         y = simulate_snapshots(geom, scene, policy.n_snapshots, rng)
         r_full = sample_covariance(y)
@@ -485,8 +484,8 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
                     f"non-finite training loss at epoch {epoch}", history
                 )
             total += loss * rows.size
-            grads = mlp_backward(model, cache, out, batch_target)
-            adam_step(state, params, grads)
+            # no name holds the gradients, so they are freed before the next step
+            adam_step(state, params, mlp_backward(model, cache, out, batch_target))
         if x_val.shape[0]:
             val = mse_loss(mlp_forward(model, x_val), y_val)
         else:
@@ -521,9 +520,7 @@ def predict_covariance(model: MlpModel, r_full: np.ndarray, geom: ArrayGeometry,
     out = mlp_forward(model, x)
     if not np.isfinite(out).all():
         raise FloatingPointError("repair network output is not finite")
-    denorm = minmax_invert(out[0], model.target_stats)
-    m_v = int(round(np.sqrt(model.d_out / 2)))
-    return unflatten_features(denorm, m_v)
+    return unflatten_features(minmax_invert(out[0], model.target_stats))
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +612,8 @@ def load_dataset(path) -> TrainingDataset:
                               lambda h: 4 * h["n_samples"] * (h["d_in"] + h["d_out"]))
     n, d_in, d_out = header["n_samples"], header["d_in"], header["d_out"]
     records = np.frombuffer(body, dtype="<f4").reshape(n, d_in + d_out).astype(np.float64)
+    if not np.isfinite(records).all():
+        raise ValueError(f"{path}: non-finite dataset rows")
     return TrainingDataset(
         inputs=records[:, :d_in].copy(),
         targets=records[:, d_in:].copy(),

@@ -78,40 +78,26 @@ def draw_angles(k: int, lo: float, hi: float, min_gap: float,
     return lo + u + min_gap * np.arange(k)
 
 
-def steering_matrix(geom, angles_deg) -> np.ndarray:
-    """Steering matrix with entries exp(j*pi*d_i*sin(theta_k)).
-
-    ``geom`` may be an ArrayGeometry or a bare position array (in units of
-    d0 = lambda/2). Failed sensors still produce rows; failure handling
-    lives in the covariance domain.
-    """
-    if isinstance(geom, ArrayGeometry):
-        pos = geom.position_array()
-    else:
-        pos = np.asarray(geom, dtype=np.float64)
+def steering_matrix(positions, angles_deg) -> np.ndarray:
+    """Steering matrix with entries exp(j*pi*d_i*sin(theta_k)) for sensor
+    positions d_i in units of d0 = lambda/2."""
+    pos = np.asarray(positions, dtype=np.float64)
     theta = np.deg2rad(np.atleast_1d(np.asarray(angles_deg, dtype=np.float64)))
     return np.exp(1j * np.pi * np.outer(pos, np.sin(theta)))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def simulate_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int,
-                       seed) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Draws an M x N snapshot matrix from the unconditional signal model.
 
     Source waveforms are drawn first, then noise, so the realization is
-    reproducible for a given seed or Generator. Failed sensors are NOT
-    zeroed here; use inject_failures downstream.
+    reproducible for a given Generator state. Failed sensors still produce
+    rows; failure handling lives in the covariance domain.
     """
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    rng = _as_rng(seed)
     m = geom.size
-    a = steering_matrix(geom, scene.angles_deg)
+    a = steering_matrix(geom.positions, scene.angles_deg)
     amp = np.sqrt(np.asarray(scene.powers) / 2.0)
     x = amp[:, None] * (
         rng.standard_normal((scene.k, n_snapshots))
@@ -154,7 +140,7 @@ def analytic_covariance(geom: ArrayGeometry, scene: SourceScene) -> np.ndarray:
     m = geom.size
     r = scene.noise_power * np.eye(m, dtype=np.complex128)
     if scene.k:
-        a = steering_matrix(geom, scene.angles_deg)
+        a = steering_matrix(geom.positions, scene.angles_deg)
         r = r + (a * np.asarray(scene.powers)) @ a.conj().T
     return r
 

@@ -117,12 +117,6 @@ def doa_mse(estimates, truths) -> float:
     return float(np.mean(err**2))
 
 
-def _steering_derivative(positions: np.ndarray, angles_deg) -> np.ndarray:
-    theta = np.deg2rad(np.asarray(angles_deg, dtype=np.float64))
-    a = np.exp(1j * np.pi * np.outer(positions, np.sin(theta)))
-    return 1j * np.pi * positions[:, None] * np.cos(theta)[None, :] * a
-
-
 def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray:
     """Unconditional-model Cramer-Rao bound for the source angles: the
     K x K bound matrix in degrees squared.
@@ -139,10 +133,11 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
         raise ValueError("bound needs at least one source")
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    pos = geom.position_array(active_only=True).astype(np.float64)
+    pos = np.asarray(geom.active_positions, dtype=np.float64)
     m = pos.size
     a = steering_matrix(pos, scene.angles_deg)
-    a_dot = _steering_derivative(pos, scene.angles_deg)
+    theta = np.deg2rad(np.asarray(scene.angles_deg, dtype=np.float64))
+    a_dot = 1j * np.pi * pos[:, None] * np.cos(theta)[None, :] * a
     r = (a * np.asarray(scene.powers)) @ a.conj().T + scene.noise_power * np.eye(m)
     a_d = khatri_rao(a.conj(), a)
     a_d_dot = khatri_rao(a_dot.conj(), a) + khatri_rao(a.conj(), a_dot)

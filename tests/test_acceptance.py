@@ -75,9 +75,8 @@ def desk_training(desk_config, desk_datasets):
     out["histories"][HYBRID] = hist_h
     for offset in range(3):
         seed = desk_config.master_seed + offset
-        model_d, hist_d = train_variant(desk_config, DATA_DRIVEN,
-                                        train_seed=seed,
-                                        dataset=desk_datasets[DATA_DRIVEN])
+        model_d, hist_d = train_variant(dataclasses.replace(desk_config, master_seed=seed),
+                                        DATA_DRIVEN, dataset=desk_datasets[DATA_DRIVEN])
         out["dd_seeds"].append((seed, model_d))
         if offset == 0:
             out["data-driven"] = model_d
@@ -333,11 +332,10 @@ def test_criterion_5c_zero_failure_prediction_floor(desk_config, desk_datasets,
     ds = desk_datasets[DATA_DRIVEN]
     n_train = int(round(0.8 * ds.n_samples))
     floors = []
-    m_v = int(round(np.sqrt(ds.targets.shape[1] / 2)))
     for row in range(n_train, n_train + 64):
         # the row is already the damaged physical matrix: no further failures
-        r_in = coarray.unflatten_features(ds.inputs[row], geom.size)
-        truth = coarray.unflatten_features(ds.targets[row], m_v)
+        r_in = coarray.unflatten_features(ds.inputs[row])
+        truth = coarray.unflatten_features(ds.targets[row])
         pred = neural.predict_covariance(model, r_in, geom, ())
         floors.append(np.linalg.norm(pred - truth) / np.linalg.norm(truth))
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sparsedoa.cli import main
-from sparsedoa.coarray import flatten_features
+from sparsedoa.coarray import flatten_features, redundancy_average
 from sparsedoa.harness import ExperimentConfig, preset, run_trial, trial_snapshots
 from sparsedoa.neural import load_dataset
 from sparsedoa.signals import sample_covariance
@@ -123,6 +123,19 @@ class TestSimulateCommand:
         expected = flatten_features(sample_covariance(y)).astype(np.float32)
         npt.assert_array_equal(written.inputs[0], expected)
         assert written.meta["angles_deg"] == list(run_trial(cfg, "none", 10.0, 1).true_deg)
+
+    def test_coarray_is_the_trial_lag_vector(self, mini_config, tmp_path):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(mini_config), "--out", str(out_dir),
+                     "--emit", "coarray", "--snr", "10", "--trial", "1"]) == 0
+        written = load_dataset(out_dir / "simulate_coarray.bin")
+        cfg = ExperimentConfig.from_json(mini_config.read_text())
+        _, y = trial_snapshots(cfg, cfg.geometry(), 10.0, 1)
+        z = redundancy_average(sample_covariance(y), cfg.geometry())
+        # the intact array's lags -6..6 are all present (m_v = 7 for (0, 1, 4, 6))
+        expected = np.concatenate([z.real, z.imag, np.ones(13)]).astype(np.float32)
+        npt.assert_array_equal(written.inputs[0], expected)
+        assert written.meta["m_v"] == 7
 
 
 class TestTrainCommand:

@@ -1,9 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedoa.coarray import (
-    CoarraySignal,
     flatten_features,
     khatri_rao,
     redundancy_average,
@@ -11,7 +12,7 @@ from sparsedoa.coarray import (
     unflatten_features,
     vectorize_covariance,
 )
-from sparsedoa.geometry import ArrayGeometry, mra_lookup
+from sparsedoa.geometry import ArrayGeometry, difference_coarray, mra_lookup
 from sparsedoa.signals import (
     SourceScene,
     analytic_covariance,
@@ -36,7 +37,7 @@ class TestVectorize:
         geom = mra_lookup(4)
         scene = SourceScene((-15.0, 10.0, 44.0), (1.0, 2.0, 0.5), 0.3)
         lhs = vectorize_covariance(analytic_covariance(geom, scene))
-        a = steering_matrix(geom, scene.angles_deg)
+        a = steering_matrix(geom.positions, scene.angles_deg)
         rhs = khatri_rao(a.conj(), a) @ np.asarray(scene.powers) \
             + scene.noise_power * vectorize_covariance(np.eye(4))
         npt.assert_allclose(lhs, rhs, atol=1e-12)
@@ -47,17 +48,17 @@ class TestRedundancyAverage:
         geom = mra_lookup(4)
         theta, power = 27.0, 1.7
         r = analytic_covariance(geom, SourceScene((theta,), (power,), 0.0))
-        signal = redundancy_average(r, geom)
+        z = redundancy_average(r, geom)
         lags = np.arange(-6, 7)
         expected = power * np.exp(1j * np.pi * lags * np.sin(np.deg2rad(theta)))
-        npt.assert_allclose(signal.z, expected, atol=1e-12)
-        assert signal.available.all()
+        npt.assert_allclose(z, expected, atol=1e-12)
+        assert np.all(z != 0)
 
     def test_zero_lag_is_total_power(self):
         geom = mra_lookup(5)
         scene = SourceScene((10.0, 40.0), (1.0, 2.0), 0.25)
-        signal = redundancy_average(analytic_covariance(geom, scene), geom)
-        npt.assert_allclose(signal.z[signal.m_v - 1], 3.25, atol=1e-12)  # lag 0
+        z = redundancy_average(analytic_covariance(geom, scene), geom)
+        npt.assert_allclose(z[z.size // 2], 3.25, atol=1e-12)  # lag 0
 
     def test_holes_from_failed_sensor(self):
         geom = ArrayGeometry((0, 1, 4, 6), frozenset({1}))
@@ -65,24 +66,36 @@ class TestRedundancyAverage:
             analytic_covariance(geom.with_failures(()), scene_from_snr((20.0,), 10.0)),
             {1},
         )
-        signal = redundancy_average(r, geom)
-        assert signal.m_v == 7  # fixed by the intact geometry
-        assert not signal.available.all()
+        z = redundancy_average(r, geom)
+        assert z.shape == (13,)  # m_v = 7, fixed by the intact geometry
         for lag in (1, -1, 4, -4, 6, -6):
-            idx = lag + signal.m_v - 1
-            assert not signal.available[idx]
-            assert signal.z[idx] == 0
+            assert z[lag + 6] == 0
         for lag in (0, 2, 3, 5):
-            assert signal.available[lag + signal.m_v - 1]
+            assert z[lag + 6] != 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 7), data=st.data())
+    def test_exact_zeros_are_the_holes(self, m, data):
+        geom = mra_lookup(m)
+        failures = data.draw(st.frozensets(st.integers(1, m), min_size=1, max_size=2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+        z = redundancy_average(y @ y.conj().T, geom.with_failures(failures))
+        m_v = difference_coarray(geom).m_v
+        present = difference_coarray(geom.with_failures(failures)).weights
+        assert z.shape == (2 * m_v - 1,)
+        for lag in range(1 - m_v, m_v):
+            assert (z[lag + m_v - 1] == 0) == (lag not in present)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conjugate_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         geom = mra_lookup(5)
         y = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
-        signal = redundancy_average(y @ y.conj().T / 40, geom)
-        for lag in range(signal.m_v):
-            a, b = signal.z[signal.m_v - 1 + lag], signal.z[signal.m_v - 1 - lag]
+        z = redundancy_average(y @ y.conj().T / 40, geom)
+        m_v = (z.size + 1) // 2
+        for lag in range(m_v):
+            a, b = z[m_v - 1 + lag], z[m_v - 1 - lag]
             assert abs(b - np.conj(a)) <= 1e-10 * max(abs(a), 1e-30)
 
     def test_dimension_mismatch(self):
@@ -92,8 +105,7 @@ class TestRedundancyAverage:
 
 class TestSpatialSmoothing:
     def test_trivial_single_lag(self):
-        signal = CoarraySignal(z=np.array([2.0 - 1j]), available=np.array([True]), m_v=1)
-        npt.assert_allclose(spatial_smoothing(signal), [[5.0]])
+        npt.assert_allclose(spatial_smoothing(np.array([2.0 - 1j])), [[5.0]])
 
     def test_single_source_rank_one_outer_product(self):
         geom = mra_lookup(5)
@@ -119,8 +131,8 @@ class TestSpatialSmoothing:
         m_v = 6
         half = rng.standard_normal(m_v - 1) + 1j * rng.standard_normal(m_v - 1)
         z = np.concatenate([np.conj(half[::-1]), [rng.random() + 0j], half])
-        signal = CoarraySignal(z=z, available=np.ones(2 * m_v - 1, bool), m_v=m_v)
-        r_ss = spatial_smoothing(signal)
+        r_ss = spatial_smoothing(z)
+        assert r_ss.shape == (m_v, m_v)
         dev = np.linalg.norm(r_ss - r_ss.conj().T)
         assert dev <= 1e-10 * np.linalg.norm(r_ss)
         w = np.linalg.eigvalsh(r_ss)
@@ -128,7 +140,11 @@ class TestSpatialSmoothing:
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
-            CoarraySignal(z=np.zeros(4), available=np.ones(4, bool), m_v=2)
+            spatial_smoothing(np.zeros(4, dtype=np.complex128))
+
+    def test_matrix_input_rejected(self):
+        with pytest.raises(ValueError):
+            spatial_smoothing(np.zeros((3, 3), dtype=np.complex128))
 
     def test_ten_sensor_mra_gives_36(self):
         geom = mra_lookup(10)
@@ -156,18 +172,20 @@ class TestFeaturePacking:
         rng = np.random.default_rng(2)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         r = (z + z.conj().T) / 2
-        out = unflatten_features(flatten_features(r), 4)
+        out = unflatten_features(flatten_features(r))
         npt.assert_array_equal(out, r)
 
     def test_projection_makes_hermitian(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(2 * 9)
-        out = unflatten_features(v, 3)
+        out = unflatten_features(v)
+        assert out.shape == (3, 3)
         npt.assert_array_equal(out, out.conj().T)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            unflatten_features(np.zeros(10), 3)
+        for n in (1, 7, 10, 17, 19, 31):  # none is 2*d^2
+            with pytest.raises(ValueError):
+                unflatten_features(np.zeros(n))
 
     def test_khatri_rao_column_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="m_v=4"):
             preset("desk", positions=(0, 1, 3), k=4)
 
+    def test_no_estimation_method_rejected(self):
+        # crb alone would sweep, compute every bound and write a header-only table
+        for methods in (("crb",), ()):
+            with pytest.raises(ValueError, match="no estimation method"):
+                preset("desk", q_trials=3, methods=methods)
+
+    def test_failure_outside_the_array_rejected(self):
+        # would otherwise surface only at the first trial, after the model checks
+        with pytest.raises(ValueError, match=r"outside 1\.\.5"):
+            preset("desk", test_failures=(1, 9))
+
 
 class TestRunTrial:
     def test_deterministic(self):
@@ -161,6 +172,7 @@ class TestRunSweep:
             m=4,
             k=2,
             q_trials=1,
+            test_failures=(1,),  # paper's (1, 5) is outside a 4-sensor array
             methods=(METHOD_NONE,),
             grid_step=0.5,
             n_snapshots=50,
@@ -329,6 +341,7 @@ class TestTrialErrors:
                             self._raise(np.linalg.LinAlgError("singular")))
         rec = run_trial(MINI, METHOD_NONE, 10.0, 0)
         assert rec.error == "LinAlgError: singular" and rec.resolution_failure
+        assert len(rec.squared_errors) == MINI.k and np.isnan(rec.squared_errors).all()
         row = run_sweep(dataclasses.replace(MINI, methods=(METHOD_NONE,))).rows[0]
         assert np.isnan(row["mse_deg2"]) and row["q"] == 0 and row["res_fail_rate"] == 1.0
 

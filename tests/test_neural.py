@@ -286,6 +286,16 @@ class TestGenerateDataset:
         assert loaded.fingerprint() != ds.fingerprint()
         assert load_dataset(tmp_path / "ds.bin").fingerprint() == loaded.fingerprint()
 
+    @pytest.mark.parametrize("part", ["inputs", "targets"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_file_rejects_non_finite_rows(self, tmp_path, part, value):
+        # a NaN validation row used to load and train, with val_mse = nan every epoch
+        ds = generate_dataset(DATA_DRIVEN, GEOM5, DESK_POLICY, 3, seed=4)
+        getattr(ds, part)[-1, 0] = value
+        save_dataset(ds, tmp_path / "ds.bin")
+        with pytest.raises(ValueError, match="ds.bin.*non-finite"):
+            load_dataset(tmp_path / "ds.bin")
+
     @pytest.mark.parametrize("cut", [-8, 8])
     def test_file_rejects_short_or_trailing_data(self, tmp_path, cut):
         path = tmp_path / "ds.bin"
@@ -301,7 +311,7 @@ class TestGenerateDataset:
         # same damaged covariance the sweep hands the network
         ds = generate_dataset(variant, GEOM5, DESK_POLICY, 1, seed=6)
         rng = stream_rng(6, "dataset", variant)
-        scene, _ = DESK_POLICY.draw_scene(rng)
+        scene = DESK_POLICY.draw_scene(rng)
         failures = DESK_POLICY.draw_failures(GEOM5.size, rng)
         r = sample_covariance(simulate_snapshots(GEOM5, scene, DESK_POLICY.n_snapshots, rng))
         npt.assert_array_equal(ds.inputs[0],
@@ -425,7 +435,7 @@ class TestPredictCovariance:
 
     def _full_covariance(self, seed=31):
         scene = scene_from_snr((15.0, 30.0, 52.0), 5.0)
-        return sample_covariance(simulate_snapshots(GEOM5, scene, 64, seed=seed))
+        return sample_covariance(simulate_snapshots(GEOM5, scene, 64, np.random.default_rng(seed)))
 
     def test_output_hermitian_and_sized(self, trained_pair):
         r = self._full_covariance()
@@ -438,14 +448,14 @@ class TestPredictCovariance:
         # the feature width alone cannot tell the two damaged inputs apart here
         assert feature_widths(ULA4) == (32, 32)
         r = sample_covariance(simulate_snapshots(
-            ULA4, scene_from_snr((-20.0, 35.0), 5.0), 32, seed=4))
+            ULA4, scene_from_snr((-20.0, 35.0), 5.0), 32, np.random.default_rng(4)))
         inputs = {}
         for variant, model in ula_pair.items():
             inputs[variant] = flatten_features(repair_input(variant, r, ULA4, {2}))
             x = minmax_apply(inputs[variant][None, :], model.input_stats)
             out = minmax_invert(mlp_forward(model, x)[0], model.target_stats)
             npt.assert_array_equal(predict_covariance(model, r, ULA4, {2}),
-                                   unflatten_features(out, 4))
+                                   unflatten_features(out))
         assert not np.allclose(inputs[HYBRID], inputs[DATA_DRIVEN])
 
     def test_other_geometry_rejected_by_width(self, trained_pair):

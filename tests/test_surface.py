@@ -8,6 +8,7 @@ import types
 import pytest
 
 import sparsedoa
+from sparsedoa import cli, harness
 
 ENTRY_POINTS = {
     "HYBRID", "DATA_DRIVEN", "build_model", "generate_dataset", "train",
@@ -29,3 +30,13 @@ def test_top_level_is_the_pipeline_entry_points():
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert names == ENTRY_POINTS
     assert isinstance(sparsedoa.__version__, str)
+
+
+def test_presets_are_one_table():
+    assert "PRESETS" in harness.__all__
+    parser = cli.build_parser()
+    for name in harness.PRESETS:
+        assert harness.preset(name) == harness.ExperimentConfig(**harness.PRESETS[name])
+        assert parser.parse_args(["sweep", "--preset", name]).preset == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "--preset", "bogus"])
