@@ -49,15 +49,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_geometry(args) -> int:
-    if args.positions:
-        geom = ArrayGeometry(tuple(int(p) for p in args.positions.split(",")),
-                             frozenset(args.failed or ()))
-    else:
-        geom = mra_lookup(args.m)
-        if args.failed:
-            geom = geom.with_failures(args.failed)
+    intact = (ArrayGeometry(tuple(int(p) for p in args.positions.split(",")))
+              if args.positions else mra_lookup(args.m))
+    geom = intact.with_failures(args.failed or ())
     co = difference_coarray(geom)
-    intact = geom.with_failures(())
     payload = {
         "positions": list(geom.positions),
         "failed": sorted(geom.failed),
@@ -87,7 +82,7 @@ def cmd_geometry(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     geom = config.geometry()
-    scene, y = harness.trial_snapshots(config, geom, args.snr, args.trial)
+    scene, y = harness.trial_snapshots(config, args.snr, args.trial)
     if args.emit == "snapshots":
         features = np.concatenate([y.real.reshape(-1, order="F"),
                                    y.imag.reshape(-1, order="F")])
@@ -97,11 +92,9 @@ def cmd_simulate(args) -> int:
         meta = {"kind": "covariance", "dim": geom.size}
     else:
         z = redundancy_average(sample_covariance(y), geom)
-        m_v = (z.size + 1) // 2
-        present = difference_coarray(geom).weights
-        available = [float(lag in present) for lag in range(1 - m_v, m_v)]
-        features = np.concatenate([z.real, z.imag, available])
-        meta = {"kind": "coarray", "m_v": m_v}
+        # the config's array is intact, so every lag is available
+        features = np.concatenate([z.real, z.imag, np.ones(z.size)])
+        meta = {"kind": "coarray", "m_v": (z.size + 1) // 2}
     meta.update({"snr_db": args.snr, "trial": args.trial,
                  "angles_deg": list(scene.angles_deg)})
     dataset = neural.TrainingDataset(

@@ -103,8 +103,6 @@ def difference_coarray(geom: ArrayGeometry) -> DifferenceCoarray:
     one count per active sensor.
     """
     active = geom.active_positions
-    if not active:
-        raise ValueError("empty array: every sensor is failed")
     weights: dict[int, int] = {}
     for pm in active:
         for pn in active:
@@ -130,18 +128,11 @@ def essential_sensors(geom: ArrayGeometry) -> frozenset[int]:
     """
     if geom.failed:
         raise ValueError("essentialness is defined on the failure-free array")
-    pos = geom.positions
-    full = _lag_set(pos)
-    essential = set()
-    for i in range(1, geom.size + 1):
-        reduced = pos[: i - 1] + pos[i:]
-        if _lag_set(reduced) != full:
-            essential.add(i)
-    return frozenset(essential)
-
-
-def _lag_set(positions) -> frozenset[int]:
-    return frozenset(a - b for a in positions for b in positions)
+    if geom.size == 1:
+        return frozenset({1})  # its removal leaves no lag at all
+    full = difference_coarray(geom).weights.keys()
+    return frozenset(i for i in range(1, geom.size + 1)
+                     if difference_coarray(geom.with_failures({i})).weights.keys() != full)
 
 
 # Restricted (hole-free) minimum-redundancy arrays from the classic

@@ -42,6 +42,7 @@ from .signals import (
     scene_from_snr,
     simulate_snapshots,
     stream_rng,
+    stream_seed,
 )
 from .spectral import MusicSpectrum, crb, doa_mse, music_spectrum, pick_peaks
 
@@ -114,6 +115,12 @@ class ExperimentConfig:
             raise ValueError("test SNR grid must be non-empty")
         if self.q_trials < 1:
             raise ValueError("need at least one trial per SNR point")
+        for name in ("epochs", "batch_size", "n_snapshots", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)} must be at least 1")
+        if not self.grid_step > 0:
+            raise ValueError(f"grid_step={self.grid_step} must be positive")
+        stream_seed(self.master_seed, "scene", *self.test_snrs_db)  # rejects unkeyable values
         if self.rng_algorithm != "PCG64":
             raise ValueError("only the PCG64 generator is supported")
         unknown = set(self.methods) - set(_METHODS)
@@ -121,16 +128,26 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}")
         if not self.estimation_methods:
             raise ValueError(f"no estimation method in {list(self.methods)}; crb adds a column")
-        self.geometry().with_failures(self.test_failures)  # rejects indices outside 1..M
-        m_v = difference_coarray(self.geometry()).m_v
+        # built once; not fields, so to_json() and == ignore them
+        geom = ArrayGeometry(self.positions) if self.positions is not None else mra_lookup(self.m)
+        object.__setattr__(self, "_geometry", geom)
+        object.__setattr__(self, "_failed_geometry", geom.with_failures(self.test_failures))
+        low = 0 if self.train_include_no_failure else 1
+        if not low <= self.train_max_failures < geom.size:
+            raise ValueError(f"train_max_failures={self.train_max_failures} must lie in "
+                             f"{low}..{geom.size - 1} for {geom.size} sensors")
+        m_v = difference_coarray(geom).m_v
         if not 1 <= self.k < m_v:
             raise ValueError(f"source count k={self.k} must satisfy 1 <= k < m_v={m_v} "
                              "of the intact array's coarray")
 
     def geometry(self) -> ArrayGeometry:
-        if self.positions is not None:
-            return ArrayGeometry(self.positions)
-        return mra_lookup(self.m)
+        """The intact array."""
+        return self._geometry
+
+    def failed_geometry(self) -> ArrayGeometry:
+        """The array with the sensors of ``test_failures`` failed."""
+        return self._failed_geometry
 
     @property
     def estimation_methods(self) -> tuple[str, ...]:
@@ -190,41 +207,40 @@ class TrialRecord:
         return tuple((e - t) * (e - t) for e, t in zip(self.estimated_deg, self.true_deg))
 
 
-def trial_snapshots(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float,
-                    trial: int):
+def trial_snapshots(config: ExperimentConfig, snr_db: float, trial: int):
     """Scene and M x N snapshots of one trial, drawn from the substream
     (master, "scene", snr, trial) that every method and command shares."""
     rng = stream_rng(config.master_seed, "scene", float(snr_db), trial)
     angles = draw_angles(config.k, config.angle_min, config.angle_max,
                          config.min_gap, rng)
     scene = scene_from_snr(angles, snr_db)
-    return scene, simulate_snapshots(geom, scene, config.n_snapshots, rng)
+    return scene, simulate_snapshots(config.geometry(), scene, config.n_snapshots, rng)
 
 
-def _spectrum(config: ExperimentConfig, geom: ArrayGeometry, method: str,
-              r_full, models: dict[str, MlpModel] | None) -> MusicSpectrum:
+def _spectrum(config: ExperimentConfig, method: str, r_full,
+              models: dict[str, MlpModel] | None) -> MusicSpectrum:
     """MUSIC pseudospectrum of the covariance the method hands to MUSIC
     (intact, damaged, or repaired)."""
     if method == METHOD_NONE:
-        r_music = spatial_smoothing(redundancy_average(r_full, geom))
+        r_music = spatial_smoothing(redundancy_average(r_full, config.geometry()))
     elif method == METHOD_FAILED:  # the damaged matrix the hybrid network repairs
-        r_music = repair_input(HYBRID, r_full, geom, config.test_failures)
+        r_music = repair_input(HYBRID, r_full, config.failed_geometry())
     elif method in (METHOD_HYBRID, METHOD_DATA_DRIVEN):
-        r_music = predict_covariance(models[method], r_full, geom, config.test_failures)
+        r_music = predict_covariance(models[method], r_full, config.failed_geometry())
     else:
         raise ValueError(f"unknown estimation method {method!r}")
     return music_spectrum(r_music, config.k, grid_step=config.grid_step)
 
 
-def _estimate(config: ExperimentConfig, geom: ArrayGeometry, method: str, snr_db: float,
-              trial: int, scene, r_full, models) -> TrialRecord:
+def _estimate(config: ExperimentConfig, method: str, snr_db: float, trial: int,
+              scene, r_full, models) -> TrialRecord:
     """One method's record on one trial; a failed linear-algebra step books an
     errored record, and any other error propagates."""
     tic = time.perf_counter()
     estimated = (float("nan"),) * config.k
     resolution_failure, error = True, None
     try:
-        peaks = pick_peaks(_spectrum(config, geom, method, r_full, models), config.k)
+        peaks = pick_peaks(_spectrum(config, method, r_full, models), config.k)
         estimated = tuple(float(a) for a in peaks.angles_deg)
         resolution_failure = bool(peaks.resolution_failure)
     except np.linalg.LinAlgError as exc:
@@ -269,22 +285,21 @@ def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
               models: dict[str, MlpModel] | None = None) -> TrialRecord:
     """Runs one full pipeline trial; deterministic in (master_seed, snr, trial)."""
     _check_models(config, (method,), models)
-    geom = config.geometry()
-    scene, y = trial_snapshots(config, geom, snr_db, trial)
-    return _estimate(config, geom, method, snr_db, trial, scene, sample_covariance(y), models)
+    scene, y = trial_snapshots(config, snr_db, trial)
+    return _estimate(config, method, snr_db, trial, scene, sample_covariance(y), models)
 
 
-def _run_item(config: ExperimentConfig, geom: ArrayGeometry, snr_db: float,
-              trial: int, models) -> tuple[list[TrialRecord], float]:
-    scene, y = trial_snapshots(config, geom, snr_db, trial)
+def _run_item(config: ExperimentConfig, snr_db: float, trial: int,
+              models) -> tuple[list[TrialRecord], float]:
+    scene, y = trial_snapshots(config, snr_db, trial)
     r_full = sample_covariance(y)
     records = [
-        _estimate(config, geom, method, snr_db, trial, scene, r_full, models)
+        _estimate(config, method, snr_db, trial, scene, r_full, models)
         for method in config.estimation_methods
     ]
     crb_diag = float("nan")
     if config.wants_crb:
-        crb_diag = float(np.mean(np.diag(crb(geom, scene, config.n_snapshots))))
+        crb_diag = float(np.mean(np.diag(crb(config.geometry(), scene, config.n_snapshots))))
     return records, crb_diag
 
 
@@ -305,15 +320,13 @@ def _blas_thread_setter():
 def _init_worker(config: ExperimentConfig, models, set_blas_threads) -> None:
     set_blas_threads(_WORKER_BLAS_THREADS)
     _WORKER_CTX["config"] = config
-    _WORKER_CTX["geom"] = config.geometry()
     _WORKER_CTX["models"] = models
 
 
 def _pool_item(args) -> tuple[list[TrialRecord], float]:
     snr_idx, trial = args
     config = _WORKER_CTX["config"]
-    return _run_item(config, _WORKER_CTX["geom"], config.test_snrs_db[snr_idx], trial,
-                     _WORKER_CTX["models"])
+    return _run_item(config, config.test_snrs_db[snr_idx], trial, _WORKER_CTX["models"])
 
 
 @dataclass
@@ -333,7 +346,6 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
     the aggregated table does not depend on the worker count.
     """
     _check_models(config, config.estimation_methods, models)
-    geom = config.geometry()
     workers = config.workers if workers is None else workers
     items = [
         (snr_idx, trial)
@@ -341,7 +353,7 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
         for trial in range(config.q_trials)
     ]
     if workers <= 1:
-        outcomes = [_run_item(config, geom, config.test_snrs_db[snr_idx], trial, models)
+        outcomes = [_run_item(config, config.test_snrs_db[snr_idx], trial, models)
                     for snr_idx, trial in items]
     else:
         # fork: initargs (the models) are not pickled; workers keep the parent's tracing
@@ -383,10 +395,9 @@ def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
     """Pseudospectra of every method on one shared trial realization."""
     methods = methods if methods is not None else config.estimation_methods
     _check_models(config, methods, models)
-    geom = config.geometry()
-    scene, y = trial_snapshots(config, geom, snr_db, trial)
+    scene, y = trial_snapshots(config, snr_db, trial)
     r_full = sample_covariance(y)
-    spectra = {method: _spectrum(config, geom, method, r_full, models) for method in methods}
+    spectra = {method: _spectrum(config, method, r_full, models) for method in methods}
     grid = next(iter(spectra.values())).grid if spectra else None
     return grid, {method: s.values for method, s in spectra.items()}, scene
 

@@ -333,11 +333,10 @@ class ScenePolicy:
                              self.min_gap, rng)
         return scene_from_snr(angles, rng.uniform(self.snr_min, self.snr_max))
 
-    def draw_failures(self, n_sensors: int, rng: np.random.Generator) -> frozenset[int]:
+    def draw_failures(self, geom: ArrayGeometry, rng: np.random.Generator) -> ArrayGeometry:
         low = 0 if self.include_no_failure else 1
         count = int(rng.integers(low, self.max_failures + 1))
-        chosen = rng.choice(np.arange(1, n_sensors + 1), size=count, replace=False)
-        return frozenset(int(i) for i in chosen)
+        return geom.with_failures(rng.choice(np.arange(1, geom.size + 1), count, replace=False))
 
 
 @dataclass
@@ -362,16 +361,14 @@ class TrainingDataset:
         return digest.hexdigest()
 
 
-def repair_input(variant: str, r_full: np.ndarray, geom: ArrayGeometry,
-                 failures) -> np.ndarray:
-    """Damaged covariance the variant's network repairs: the failed array's
-    smoothed matrix for hybrid (``redundancy_average`` reads only active
-    sensors, so no zeroed copy is needed), the physical matrix with failed
-    rows and columns zeroed for data-driven."""
+def repair_input(variant: str, r_full: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """Damaged covariance of the failed array ``geom`` that the variant's network
+    repairs: its smoothed matrix for hybrid (``redundancy_average`` reads only active
+    sensors), its physical matrix with the failed rows and columns zeroed for data-driven."""
     if variant == HYBRID:
-        return spatial_smoothing(redundancy_average(r_full, geom.with_failures(failures)))
+        return spatial_smoothing(redundancy_average(r_full, geom))
     if variant == DATA_DRIVEN:
-        return inject_failures(r_full, failures)
+        return inject_failures(r_full, geom)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -394,11 +391,11 @@ def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
     rng = stream_rng(seed, "dataset", variant)
     for i in range(n_samples):
         scene = policy.draw_scene(rng)
-        failures = policy.draw_failures(geom.size, rng)
+        failed = policy.draw_failures(geom, rng)
         y = simulate_snapshots(geom, scene, policy.n_snapshots, rng)
         r_full = sample_covariance(y)
         targets[i] = flatten_features(spatial_smoothing(redundancy_average(r_full, geom)))
-        inputs[i] = flatten_features(repair_input(variant, r_full, geom, failures))
+        inputs[i] = flatten_features(repair_input(variant, r_full, failed))
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError("dataset contains non-finite features")
     meta = {
@@ -446,6 +443,8 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     reported in normalized feature space: train as the running mean over
     the epoch's batches, validation as a full inference-mode pass.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs={epochs} must be at least 1")
     if dataset.inputs.shape[1] != model.d_in or dataset.targets.shape[1] != model.d_out:
         raise ValueError(
             f"dataset dims {dataset.inputs.shape[1]}->{dataset.targets.shape[1]} do not "
@@ -503,15 +502,13 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
 # prediction
 # ---------------------------------------------------------------------------
 
-def predict_covariance(model: MlpModel, r_full: np.ndarray, geom: ArrayGeometry,
-                       failures) -> np.ndarray:
-    """Repairs the covariance of ``geom`` with the sensors in ``failures``
-    failed: the network's input is built from ``r_full``, the physical
-    covariance of every sensor, by ``repair_input`` for the model's own
-    variant, as its training rows were. Returns the predicted smoothed matrix."""
+def predict_covariance(model: MlpModel, r_full: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """Predicted smoothed covariance of the failed array ``geom``. The input is built from
+    ``r_full``, the physical covariance of every sensor, by ``repair_input`` for the
+    model's own variant, as its training rows were."""
     if model.input_stats is None or model.target_stats is None:
         raise ValueError("model has no normalization stats; train or load it first")
-    features = flatten_features(repair_input(model.variant, r_full, geom, failures))
+    features = flatten_features(repair_input(model.variant, r_full, geom))
     if features.size != model.d_in:
         raise ValueError(
             f"feature length {features.size} does not match model input {model.d_in}"

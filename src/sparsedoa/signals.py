@@ -118,21 +118,16 @@ def sample_covariance(y: np.ndarray) -> np.ndarray:
     return (y @ y.conj().T) / y.shape[1]
 
 
-def inject_failures(r: np.ndarray, failed) -> np.ndarray:
-    """Copy of R with the rows and columns of failed sensors zeroed
+def inject_failures(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """Copy of R with the rows and columns of ``geom``'s failed sensors zeroed
     (2*M*M1 - M1^2 entries)."""
     values = np.array(r, dtype=np.complex128)
-    idx = _failed_rows(values.shape[0], failed)
+    if values.shape != (geom.size, geom.size):
+        raise ValueError(f"covariance shape {values.shape} does not match {geom.size} sensors")
+    idx = [i - 1 for i in sorted(geom.failed)]
     values[idx, :] = 0.0
     values[:, idx] = 0.0
     return values
-
-
-def _failed_rows(m: int, failed) -> list[int]:
-    idx = sorted(int(i) for i in failed)
-    if any(i < 1 or i > m for i in idx):
-        raise ValueError(f"failed indices {idx} outside 1..{m}")
-    return [i - 1 for i in idx]
 
 
 def analytic_covariance(geom: ArrayGeometry, scene: SourceScene) -> np.ndarray:

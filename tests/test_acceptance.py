@@ -323,7 +323,7 @@ def test_criterion_5c_zero_failure_prediction_floor(desk_config, desk_datasets,
                                        desk_config.n_snapshots, rng)
         r = signals.sample_covariance(y)
         r_ss = coarray.spatial_smoothing(coarray.redundancy_average(r, geom))
-        pred = neural.predict_covariance(model, r, geom, ())
+        pred = neural.predict_covariance(model, r, geom)
         assert pred.shape == r_ss.shape
         npt.assert_array_equal(pred, pred.conj().T)
         rels.append(np.linalg.norm(pred - r_ss) / np.linalg.norm(r_ss))
@@ -336,7 +336,7 @@ def test_criterion_5c_zero_failure_prediction_floor(desk_config, desk_datasets,
         # the row is already the damaged physical matrix: no further failures
         r_in = coarray.unflatten_features(ds.inputs[row])
         truth = coarray.unflatten_features(ds.targets[row])
-        pred = neural.predict_covariance(model, r_in, geom, ())
+        pred = neural.predict_covariance(model, r_in, geom)
         floors.append(np.linalg.norm(pred - truth) / np.linalg.norm(truth))
 
     ok = all(np.isfinite(rels)) and max(rels) < 1.0

@@ -119,7 +119,7 @@ class TestSimulateCommand:
                      "--emit", "covariance", "--snr", "10", "--trial", "1"]) == 0
         written = load_dataset(out_dir / "simulate_covariance.bin")
         cfg = ExperimentConfig.from_json(mini_config.read_text())
-        _, y = trial_snapshots(cfg, cfg.geometry(), 10.0, 1)
+        _, y = trial_snapshots(cfg, 10.0, 1)
         expected = flatten_features(sample_covariance(y)).astype(np.float32)
         npt.assert_array_equal(written.inputs[0], expected)
         assert written.meta["angles_deg"] == list(run_trial(cfg, "none", 10.0, 1).true_deg)
@@ -130,7 +130,7 @@ class TestSimulateCommand:
                      "--emit", "coarray", "--snr", "10", "--trial", "1"]) == 0
         written = load_dataset(out_dir / "simulate_coarray.bin")
         cfg = ExperimentConfig.from_json(mini_config.read_text())
-        _, y = trial_snapshots(cfg, cfg.geometry(), 10.0, 1)
+        _, y = trial_snapshots(cfg, 10.0, 1)
         z = redundancy_average(sample_covariance(y), cfg.geometry())
         # the intact array's lags -6..6 are all present (m_v = 7 for (0, 1, 4, 6))
         expected = np.concatenate([z.real, z.imag, np.ones(13)]).astype(np.float32)
@@ -151,6 +151,16 @@ class TestTrainCommand:
         history = (out_dir / "history_data-driven.csv").read_text().splitlines()
         assert history[0] == "epoch,train_mse,val_mse,seconds"
         assert len(history) == 2
+
+    def test_zero_epochs_writes_no_model(self, mini_config, tmp_path, capsys):
+        # used to save an untrained model, then fail on the empty history
+        config = json.loads(mini_config.read_text())
+        mini_config.write_text(json.dumps({**config, "epochs": 0}))
+        out_dir = tmp_path / "train"
+        assert main(["train", "--config", str(mini_config), "--out", str(out_dir),
+                     "--variant", "data-driven"]) == 1
+        assert "epochs=0" in capsys.readouterr().err
+        assert not (out_dir / "model_data-driven.bin").exists()
 
 
 def test_unrepresentable_seed_fails(mini_config, tmp_path, capsys):

@@ -63,9 +63,7 @@ class TestRedundancyAverage:
     def test_holes_from_failed_sensor(self):
         geom = ArrayGeometry((0, 1, 4, 6), frozenset({1}))
         r = inject_failures(
-            analytic_covariance(geom.with_failures(()), scene_from_snr((20.0,), 10.0)),
-            {1},
-        )
+            analytic_covariance(geom.with_failures(()), scene_from_snr((20.0,), 10.0)), geom)
         z = redundancy_average(r, geom)
         assert z.shape == (13,)  # m_v = 7, fixed by the intact geometry
         for lag in (1, -1, 4, -4, 6, -6):
@@ -137,6 +135,39 @@ class TestSpatialSmoothing:
         assert dev <= 1e-10 * np.linalg.norm(r_ss)
         w = np.linalg.eigvalsh(r_ss)
         assert w.min() >= -1e-10 * np.trace(r_ss).real
+
+    @staticmethod
+    def _toeplitz(z):
+        """T[a, c] = z[m_v - 1 + a - c], the Toeplitz matrix of the lag vector."""
+        m_v = (z.size + 1) // 2
+        return z[m_v - 1 + np.arange(m_v)[:, None] - np.arange(m_v)[None, :]]
+
+    @staticmethod
+    def _close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m_v=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_smoothing_is_toeplitz_gram(self, m_v, seed):
+        # R_ss = T T^H / m_v for any lag vector, conjugate-symmetric or not
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(2 * m_v - 1) + 1j * rng.standard_normal(2 * m_v - 1)
+        t = self._toeplitz(z)
+        assert self._close(spatial_smoothing(z), t @ t.conj().T / m_v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 7), data=st.data())
+    def test_smoothing_of_averaged_lags_is_toeplitz_square(self, m, data):
+        # Liu & Vaidyanathan (IEEE SPL 2015): the averaged lags of a Hermitian
+        # covariance give a Hermitian T, so R_ss = T^2 / m_v, holes included
+        geom = mra_lookup(m).with_failures(
+            data.draw(st.frozensets(st.integers(1, m), max_size=2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+        z = redundancy_average(y @ y.conj().T / (2 * m), geom)
+        t = self._toeplitz(z)
+        assert self._close(t.conj().T, t)
+        assert self._close(spatial_smoothing(z), t @ t / t.shape[0])
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):

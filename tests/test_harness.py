@@ -108,6 +108,52 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"outside 1\.\.5"):
             preset("desk", test_failures=(1, 9))
 
+    def test_arrays_built_once(self):
+        cfg = preset("desk")
+        assert cfg.geometry() is cfg.geometry()
+        assert cfg.failed_geometry() is cfg.failed_geometry()
+        assert not cfg.geometry().failed
+        assert cfg.failed_geometry().failed == set(cfg.test_failures) == {1, 3}
+        assert cfg.failed_geometry().positions == cfg.geometry().positions
+
+    def test_stored_arrays_are_not_fields(self):
+        cfg = preset("desk", master_seed=7)
+        assert set(json.loads(cfg.to_json())) == {f.name for f in dataclasses.fields(cfg)}
+        assert "_geometry" not in repr(cfg)
+        twin = ExperimentConfig.from_json(cfg.to_json())
+        assert twin.geometry() is not cfg.geometry()
+        assert twin == cfg and hash(twin) == hash(cfg)
+        moved = dataclasses.replace(cfg, test_failures=(2,))
+        assert moved != cfg and moved.failed_geometry().failed == {2}
+        assert copy.deepcopy(cfg).failed_geometry() == cfg.failed_geometry()
+
+    @pytest.mark.parametrize("overrides, match", [
+        # desk has M = 5: five failures leave no sensor, and without the
+        # no-failure option every sample must fail at least one
+        ({"train_max_failures": 5}, r"train_max_failures=5 must lie in 1\.\.4"),
+        ({"train_max_failures": 0}, r"train_max_failures=0 must lie in 1\.\.4"),
+        ({"train_max_failures": 5, "train_include_no_failure": True}, r"in 0\.\.4"),
+        ({"epochs": 0}, "epochs=0 must be at least 1"),
+        ({"batch_size": 0}, "batch_size=0 must be at least 1"),
+        ({"n_snapshots": 0}, "n_snapshots=0 must be at least 1"),
+        ({"workers": 0}, "workers=0 must be at least 1"),
+        ({"grid_step": 0.0}, "grid_step=0.0 must be positive"),
+        ({"grid_step": float("nan")}, "grid_step=nan must be positive"),
+        ({"master_seed": -1}, "master seed -1"),
+        ({"test_snrs_db": (0.0004,)}, "float seed key 0.0004"),
+    ])
+    def test_misuse_rejected_at_build(self, overrides, match):
+        # each used to build and fail only at the first step, trial or sample
+        with pytest.raises(ValueError, match=match):
+            preset("desk", **overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"train_max_failures": 4},
+        {"train_max_failures": 0, "train_include_no_failure": True},
+    ])
+    def test_failure_count_bounds_accepted(self, overrides):
+        assert preset("desk", **overrides).train_max_failures == overrides["train_max_failures"]
+
 
 class TestRunTrial:
     def test_deterministic(self):

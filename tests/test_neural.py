@@ -312,10 +312,28 @@ class TestGenerateDataset:
         ds = generate_dataset(variant, GEOM5, DESK_POLICY, 1, seed=6)
         rng = stream_rng(6, "dataset", variant)
         scene = DESK_POLICY.draw_scene(rng)
-        failures = DESK_POLICY.draw_failures(GEOM5.size, rng)
+        failed = DESK_POLICY.draw_failures(GEOM5, rng)
         r = sample_covariance(simulate_snapshots(GEOM5, scene, DESK_POLICY.n_snapshots, rng))
         npt.assert_array_equal(ds.inputs[0],
-                               flatten_features(repair_input(variant, r, GEOM5, failures)))
+                               flatten_features(repair_input(variant, r, failed)))
+
+
+class TestDrawFailures:
+    @pytest.mark.parametrize("include_no_failure", [False, True])
+    def test_failed_geometry_of_the_array(self, include_no_failure):
+        policy = ScenePolicy(max_failures=2, include_no_failure=include_no_failure)
+        rng = np.random.default_rng(3)
+        low = 0 if include_no_failure else 1
+        for _ in range(30):
+            failed = policy.draw_failures(GEOM5, rng)
+            assert failed.positions == GEOM5.positions
+            assert low <= len(failed.failed) <= 2
+
+    def test_every_sensor_failed_is_rejected(self):
+        # one sensor and at least one failure per sample: the draw is always all of them
+        with pytest.raises(ValueError, match="at least one sensor"):
+            ScenePolicy(max_failures=1).draw_failures(ArrayGeometry((0,)),
+                                                      np.random.default_rng(0))
 
 
 class TestRepairInput:
@@ -328,20 +346,36 @@ class TestRepairInput:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         y = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
         r = sample_covariance(y)
-        got = repair_input(HYBRID, r, geom, failures)
-        want = spatial_smoothing(redundancy_average(inject_failures(r, failures),
-                                                    geom.with_failures(failures)))
+        failed = geom.with_failures(failures)
+        got = repair_input(HYBRID, r, failed)
+        want = spatial_smoothing(redundancy_average(inject_failures(r, failed), failed))
         npt.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 7), data=st.data())
+    def test_failures_come_from_the_geometry(self, m, data):
+        # the failure set travels inside the geometry; no separate argument can drop it
+        failed = mra_lookup(m).with_failures(
+            data.draw(st.frozensets(st.integers(1, m), max_size=2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+        r = sample_covariance(y)
+        npt.assert_array_equal(repair_input(HYBRID, r, failed),
+                               spatial_smoothing(redundancy_average(r, failed)))
+        got = repair_input(DATA_DRIVEN, r, failed)
+        dead = np.array([i in failed.failed for i in range(1, m + 1)])
+        assert np.all(got[dead, :] == 0) and np.all(got[:, dead] == 0)
+        npt.assert_array_equal(got[np.ix_(~dead, ~dead)], r[np.ix_(~dead, ~dead)])
 
     def test_data_driven_is_injected_physical_matrix(self):
         r = analytic_covariance(GEOM5, scene_from_snr((15.0, 30.0), 0.0))
-        got = repair_input(DATA_DRIVEN, r, GEOM5, {2, 4})
-        npt.assert_array_equal(got, inject_failures(r, {2, 4}))
+        failed = GEOM5.with_failures({2, 4})
+        npt.assert_array_equal(repair_input(DATA_DRIVEN, r, failed), inject_failures(r, failed))
 
     def test_unknown_variant(self):
         r = analytic_covariance(GEOM5, scene_from_snr((15.0,), 0.0))
         with pytest.raises(ValueError, match="variant"):
-            repair_input("bogus", r, GEOM5, {1})
+            repair_input("bogus", r, GEOM5.with_failures({1}))
 
 
 def toy_identity_dataset(n=100, dim=8, seed=0):
@@ -404,6 +438,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(model, toy_identity_dataset(dim=10), epochs=1)
 
+    def test_zero_epochs_rejected(self):
+        # used to return an empty history and leave a fitted but untrained model
+        model = tiny_model([8, 8], [0.0], np.random.default_rng(1))
+        with pytest.raises(ValueError, match="epochs=0"):
+            train(model, toy_identity_dataset(), epochs=0)
+        assert model.input_stats is None
+
 
 @pytest.fixture(scope="module")
 def trained_pair():
@@ -431,7 +472,7 @@ def ula_pair():
 
 
 class TestPredictCovariance:
-    FAILED = {1, 3}
+    FAILED = GEOM5.with_failures({1, 3})
 
     def _full_covariance(self, seed=31):
         scene = scene_from_snr((15.0, 30.0, 52.0), 5.0)
@@ -440,7 +481,7 @@ class TestPredictCovariance:
     def test_output_hermitian_and_sized(self, trained_pair):
         r = self._full_covariance()
         for variant in (HYBRID, DATA_DRIVEN):
-            out = predict_covariance(trained_pair[variant], r, GEOM5, self.FAILED)
+            out = predict_covariance(trained_pair[variant], r, self.FAILED)
             assert out.shape == (10, 10) and out.dtype == np.complex128
             npt.assert_array_equal(out, out.conj().T)
 
@@ -449,13 +490,14 @@ class TestPredictCovariance:
         assert feature_widths(ULA4) == (32, 32)
         r = sample_covariance(simulate_snapshots(
             ULA4, scene_from_snr((-20.0, 35.0), 5.0), 32, np.random.default_rng(4)))
-        inputs = {}
+        failed, inputs = ULA4.with_failures({2}), {}
         for variant, model in ula_pair.items():
-            inputs[variant] = flatten_features(repair_input(variant, r, ULA4, {2}))
+            inputs[variant] = flatten_features(repair_input(variant, r, failed))
             x = minmax_apply(inputs[variant][None, :], model.input_stats)
-            out = minmax_invert(mlp_forward(model, x)[0], model.target_stats)
-            npt.assert_array_equal(predict_covariance(model, r, ULA4, {2}),
-                                   unflatten_features(out))
+            out = unflatten_features(minmax_invert(mlp_forward(model, x)[0], model.target_stats))
+            npt.assert_array_equal(predict_covariance(model, r, failed), out)
+            # the failures travel in the geometry: the intact array is repaired differently
+            assert not np.allclose(predict_covariance(model, r, ULA4), out)
         assert not np.allclose(inputs[HYBRID], inputs[DATA_DRIVEN])
 
     def test_other_geometry_rejected_by_width(self, trained_pair):
@@ -463,25 +505,25 @@ class TestPredictCovariance:
         r = analytic_covariance(geom4, scene_from_snr((15.0, 30.0), 5.0))
         for model in trained_pair.values():
             with pytest.raises(ValueError, match="does not match model input"):
-                predict_covariance(model, r, geom4, {1})
+                predict_covariance(model, r, geom4.with_failures({1}))
 
     def test_zero_failure_roles_accepted(self, trained_pair):
         r = self._full_covariance(seed=32)
         for model in trained_pair.values():
-            assert predict_covariance(model, r, GEOM5, ()).shape == (10, 10)
+            assert predict_covariance(model, r, GEOM5).shape == (10, 10)
 
     @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
     def test_non_finite_output_raises(self, trained_pair, variant):
         model = copy.deepcopy(trained_pair[variant])
         model.weights[0][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="not finite"):
-            predict_covariance(model, self._full_covariance(), GEOM5, self.FAILED)
+            predict_covariance(model, self._full_covariance(), self.FAILED)
 
     def test_untrained_model_rejected(self):
         model = build_model(HYBRID, GEOM5, seed=0)
         r = analytic_covariance(GEOM5, scene_from_snr((10.0,), 0.0))
         with pytest.raises(ValueError, match="normalization"):
-            predict_covariance(model, r, GEOM5, ())
+            predict_covariance(model, r, GEOM5)
 
 
 class TestModelFile:

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sparsedoa.geometry import mra_lookup
+from sparsedoa.geometry import ArrayGeometry, mra_lookup
 from sparsedoa.signals import (
     SourceScene,
     analytic_covariance,
@@ -142,6 +142,10 @@ class TestSampleCovariance:
         assert medians[0] > medians[1] > medians[2]
 
 
+def ula(m, failed=()):
+    return ArrayGeometry(tuple(range(m)), frozenset(failed))
+
+
 class TestInjectFailures:
     def _dense_cov(self, m):
         rng = np.random.default_rng(5)
@@ -152,38 +156,45 @@ class TestInjectFailures:
     def test_zero_count_formula(self, m, failed):
         r = self._dense_cov(m)
         assert np.count_nonzero(r == 0) == 0
-        out = inject_failures(r, failed)
+        out = inject_failures(r, ula(m, failed))
         m1 = len(failed)
         assert np.count_nonzero(out == 0) == 2 * m * m1 - m1**2
 
     def test_no_failures_is_identity(self):
         r = self._dense_cov(4)
-        out = inject_failures(r, set())
+        out = inject_failures(r, ula(4))
         npt.assert_array_equal(out, r)
         assert not np.shares_memory(out, r)
 
     def test_untouched_entries(self):
         r = self._dense_cov(5)
-        out = inject_failures(r, {2})
+        out = inject_failures(r, ula(5, {2}))
         keep = [0, 2, 3, 4]
         npt.assert_array_equal(out[np.ix_(keep, keep)], r[np.ix_(keep, keep)])
 
     def test_idempotent_and_commutes(self):
         r = self._dense_cov(6)
-        once = inject_failures(r, {2, 5})
-        npt.assert_array_equal(inject_failures(once, {2, 5}), once)
-        ab = inject_failures(inject_failures(r, {1}), {4})
-        ba = inject_failures(inject_failures(r, {4}), {1})
+        once = inject_failures(r, ula(6, {2, 5}))
+        npt.assert_array_equal(inject_failures(once, ula(6, {2, 5})), once)
+        ab = inject_failures(inject_failures(r, ula(6, {1})), ula(6, {4}))
+        ba = inject_failures(inject_failures(r, ula(6, {4})), ula(6, {1}))
         npt.assert_array_equal(ab, ba)
 
     def test_out_of_range(self):
+        # the failure set travels in the geometry, which rejects index 5 on M=4
         with pytest.raises(ValueError):
-            inject_failures(self._dense_cov(4), {5})
+            inject_failures(self._dense_cov(4), ula(4, {5}))
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_size_mismatch(self, m):
+        # a 4x4 covariance is not the covariance of a 3- or 5-sensor array
+        with pytest.raises(ValueError, match="does not match"):
+            inject_failures(self._dense_cov(4), ula(m, {1}))
 
     def test_snapshot_domain_equivalence(self):
         geom = mra_lookup(5)
         y = simulate_snapshots(geom, scene_from_snr((12.0, 33.0), 5.0), 64, np.random.default_rng(9))
-        via_cov = inject_failures(sample_covariance(y), {1, 4})
+        via_cov = inject_failures(sample_covariance(y), geom.with_failures({1, 4}))
         y_failed = y.copy()
         y_failed[[0, 3], :] = 0.0  # snapshot-domain oracle: sensors 1 and 4 read zero
         via_snap = sample_covariance(y_failed)
