@@ -3,9 +3,11 @@ spatial smoothing, and real-feature packing for the repair networks."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .geometry import ArrayGeometry, difference_coarray
+from .geometry import ArrayGeometry, _pair_table, difference_coarray
 
 __all__ = [
     "vectorize_covariance",
@@ -39,27 +41,32 @@ def redundancy_average(r, geom: ArrayGeometry) -> np.ndarray:
     zeros.
     """
     values = np.asarray(r, dtype=np.complex128)
-    if values.shape[0] != geom.size:
+    if values.shape != (geom.size, geom.size):
         raise ValueError(
-            f"covariance dimension {values.shape[0]} does not match geometry size {geom.size}"
+            f"covariance shape {values.shape} does not match geometry size {geom.size}"
         )
-    m_v = difference_coarray(geom.with_failures(())).m_v
-    n_lags = 2 * m_v - 1
-    sums = np.zeros(n_lags, dtype=np.complex128)
-    counts = np.zeros(n_lags, dtype=np.int64)
-    active = [i - 1 for i in geom.active_indices]
-    pos = geom.positions
-    for i in active:
-        for j in active:
-            lag = pos[i] - pos[j]
-            if abs(lag) < m_v:
-                idx = lag + m_v - 1
-                sums[idx] += values[i, j]
-                counts[idx] += 1
+    flat, bins, counts = _lag_bins(geom)
+    picked = values.reshape(-1)[flat]
+    sums = np.zeros(counts.size, dtype=np.complex128)
+    sums.real = np.bincount(bins, picked.real, counts.size)  # adds in pair order, as a loop would
+    sums.imag = np.bincount(bins, picked.imag, counts.size)
     available = counts > 0
-    z = np.zeros(n_lags, dtype=np.complex128)
+    z = np.zeros(counts.size, dtype=np.complex128)
     z[available] = sums[available] / counts[available]
     return z
+
+
+@functools.cache
+def _lag_bins(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat index and lag bin (lag + m_v - 1) of each active pair inside the intact
+    array's virtual ULA, and the pair count of each of its 2*m_v - 1 bins; read-only."""
+    flat, lags = _pair_table(geom)
+    m_v = difference_coarray(geom.with_failures(())).m_v
+    inside = np.abs(lags) < m_v
+    flat, bins = flat[inside], lags[inside] + (m_v - 1)
+    counts = np.bincount(bins, minlength=2 * m_v - 1)
+    flat.flags.writeable = bins.flags.writeable = counts.flags.writeable = False
+    return flat, bins, counts
 
 
 def spatial_smoothing(z: np.ndarray) -> np.ndarray:
@@ -76,8 +83,16 @@ def spatial_smoothing(z: np.ndarray) -> np.ndarray:
     if z.ndim != 1 or z.size % 2 == 0:
         raise ValueError("coarray signal must be a 1-D vector of odd length")
     m_v = (z.size + 1) // 2
-    windows = np.lib.stride_tricks.sliding_window_view(z, m_v)
+    windows = z[_window_index(m_v)]
     return (windows.T @ windows.conj()) / m_v
+
+
+@functools.cache
+def _window_index(m_v: int) -> np.ndarray:
+    """Read-only index whose row i selects window i, z[i : i + m_v]."""
+    index = np.arange(m_v)[:, None] + np.arange(m_v)
+    index.flags.writeable = False
+    return index
 
 
 def flatten_features(r) -> np.ndarray:

@@ -9,8 +9,11 @@ array-processing convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "ArrayGeometry",
@@ -102,17 +105,24 @@ def difference_coarray(geom: ArrayGeometry) -> DifferenceCoarray:
     d_m - d_n, so the lag set is symmetric about zero and lag 0 carries
     one count per active sensor.
     """
-    active = geom.active_positions
-    weights: dict[int, int] = {}
-    for pm in active:
-        for pn in active:
-            lag = pm - pn
-            weights[lag] = weights.get(lag, 0) + 1
-    lags = tuple(sorted(weights))
+    lags, counts = np.unique(_pair_table(geom)[1], return_counts=True)
+    weights = dict(zip(lags.tolist(), counts.tolist()))
     m_v = 0
     while m_v in weights:
         m_v += 1
-    return DifferenceCoarray(lags=lags, weights=weights, m_v=m_v)
+    return DifferenceCoarray(lags=tuple(weights), weights=weights, m_v=m_v)
+
+
+@functools.cache  # one entry per array and failure set: a few dozen at paper shape
+def _pair_table(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index i*M + j and lag d_i - d_j of each active ordered sensor pair
+    (i, j), in row-major order; read-only, as every caller shares them."""
+    active = np.asarray(geom.active_indices) - 1
+    pos = np.asarray(geom.positions)[active]
+    flat = (active[:, None] * geom.size + active).ravel()
+    lags = (pos[:, None] - pos).ravel()
+    flat.flags.writeable = lags.flags.writeable = False
+    return flat, lags
 
 
 def is_hole_free(co: DifferenceCoarray, aperture: int) -> bool:

@@ -28,6 +28,7 @@ from .geometry import ArrayGeometry, difference_coarray, mra_lookup
 from .neural import (
     DATA_DRIVEN,
     HYBRID,
+    TRAIN_SPLIT,
     MlpModel,
     ScenePolicy,
     generate_dataset,
@@ -35,6 +36,7 @@ from .neural import (
     predict_covariance,
     repair_input,
     train,
+    training_rows,
 )
 from .signals import (
     draw_angles,
@@ -140,6 +142,10 @@ class ExperimentConfig:
         if not 1 <= self.k < m_v:
             raise ValueError(f"source count k={self.k} must satisfy 1 <= k < m_v={m_v} "
                              "of the intact array's coarray")
+        if (self.k - 1) * self.min_gap > self.angle_max - self.angle_min:
+            raise ValueError(f"k={self.k} sources {self.min_gap} deg apart do not fit "
+                             f"[{self.angle_min}, {self.angle_max}]")
+        training_rows(self.n_train_samples, TRAIN_SPLIT)
 
     def geometry(self) -> ArrayGeometry:
         """The intact array."""
@@ -347,12 +353,14 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
     """
     _check_models(config, config.estimation_methods, models)
     workers = config.workers if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers={workers} must be at least 1")
     items = [
         (snr_idx, trial)
         for snr_idx in range(len(config.test_snrs_db))
         for trial in range(config.q_trials)
     ]
-    if workers <= 1:
+    if workers == 1:
         outcomes = [_run_item(config, config.test_snrs_db[snr_idx], trial, models)
                     for snr_idx, trial in items]
     else:
@@ -434,7 +442,6 @@ def train_variant(config: ExperimentConfig, variant: str, dataset=None):
         model, dataset,
         epochs=config.epochs,
         batch_size=config.batch_size,
-        split=0.8,
         seed=config.master_seed,
         lr=config.learning_rate,
     )

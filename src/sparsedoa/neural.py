@@ -66,6 +66,7 @@ __all__ = [
 
 HYBRID = "hybrid"
 DATA_DRIVEN = "data-driven"
+TRAIN_SPLIT = 0.8  # default share of a dataset's rows that train; the rest validate
 
 MODEL_MAGIC = "sparsedoa-model-v1"
 DATASET_MAGIC = "sparsedoa-dataset-v1"
@@ -433,8 +434,17 @@ class TrainingDiverged(RuntimeError):
         self.history = history
 
 
+def training_rows(n_samples: int, split: float) -> int:
+    """Rows in the training split, the first round(split * n_samples); ``train``
+    needs at least two to fit the min-max stats."""
+    n_train = int(round(split * n_samples))
+    if not 2 <= n_train <= n_samples:
+        raise ValueError(f"split {split} of {n_samples} rows leaves no usable training rows")
+    return n_train
+
+
 def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
-          batch_size: int = 256, split: float = 0.8, seed: int = 0,
+          batch_size: int = 256, split: float = TRAIN_SPLIT, seed: int = 0,
           lr: float = 1e-3) -> list[EpochStats]:
     """Mini-batch Adam on min-max-normalized features.
 
@@ -450,9 +460,7 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
             f"dataset dims {dataset.inputs.shape[1]}->{dataset.targets.shape[1]} do not "
             f"match model dims {model.d_in}->{model.d_out}"
         )
-    n_train = int(round(split * dataset.n_samples))
-    if not 2 <= n_train <= dataset.n_samples:
-        raise ValueError(f"split {split} leaves no usable training rows")
+    n_train = training_rows(dataset.n_samples, split)
     model.input_stats = minmax_fit(dataset.inputs[:n_train])
     model.target_stats = minmax_fit(dataset.targets[:n_train])
     x_train = minmax_apply(dataset.inputs[:n_train], model.input_stats)

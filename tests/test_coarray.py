@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedoa.coarray import (
+    _lag_bins,
+    _window_index,
     flatten_features,
     khatri_rao,
     redundancy_average,
@@ -12,7 +14,7 @@ from sparsedoa.coarray import (
     unflatten_features,
     vectorize_covariance,
 )
-from sparsedoa.geometry import ArrayGeometry, difference_coarray, mra_lookup
+from sparsedoa.geometry import ArrayGeometry, _pair_table, difference_coarray, mra_lookup
 from sparsedoa.signals import (
     SourceScene,
     analytic_covariance,
@@ -21,6 +23,48 @@ from sparsedoa.signals import (
     steering_matrix,
 )
 from sparsedoa.spectral import hermitian_eig, music_spectrum, pick_peaks
+
+
+def loop_redundancy_average(r, geom):
+    """Pair-by-pair running sums over the active sensors, the form the cached
+    lag table replaced; kept as its oracle."""
+    intact_lags = {a - b for a in geom.positions for b in geom.positions}
+    m_v = 0
+    while m_v in intact_lags:
+        m_v += 1
+    sums = np.zeros(2 * m_v - 1, dtype=np.complex128)
+    counts = np.zeros(2 * m_v - 1, dtype=np.int64)
+    active = [i - 1 for i in geom.active_indices]
+    for i in active:
+        for j in active:
+            lag = geom.positions[i] - geom.positions[j]
+            if abs(lag) < m_v:
+                sums[lag + m_v - 1] += r[i, j]
+                counts[lag + m_v - 1] += 1
+    available = counts > 0
+    z = np.zeros(2 * m_v - 1, dtype=np.complex128)
+    z[available] = sums[available] / counts[available]
+    return z
+
+
+def window_view_smoothing(z):
+    """Smoothing over a strided window view, the form the cached window index
+    replaced; kept as its oracle."""
+    m_v = (z.size + 1) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(z, m_v)
+    return (windows.T @ windows.conj()) / m_v
+
+
+@st.composite
+def failed_mra_and_hermitian(draw):
+    """A tabulated MRA with M = 3..10 and 0-2 failed sensors, and a random
+    Hermitian matrix of its size with entries of varied scale."""
+    m = draw(st.integers(3, 10))
+    geom = mra_lookup(m).with_failures(draw(st.frozensets(st.integers(1, m), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    a *= 10.0 ** rng.uniform(-3, 3, size=(m, m))
+    return geom, (a + a.conj().T) / 2
 
 
 class TestVectorize:
@@ -99,6 +143,21 @@ class TestRedundancyAverage:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             redundancy_average(np.eye(3), mra_lookup(4))
+        with pytest.raises(ValueError, match=r"shape \(4, 5\)"):
+            redundancy_average(np.zeros((4, 5)), mra_lookup(4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=failed_mra_and_hermitian())
+    def test_matches_loop_oracle_bit_for_bit(self, case):
+        # bincount adds each bin's entries in pair order, as the loop's running sum did
+        geom, r = case
+        assert redundancy_average(r, geom).tobytes() == loop_redundancy_average(r, geom).tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        geom = mra_lookup(5).with_failures({1, 3})
+        for table in (*_pair_table(geom), *_lag_bins(geom), _window_index(10)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
 
 
 class TestSpatialSmoothing:
@@ -168,6 +227,13 @@ class TestSpatialSmoothing:
         t = self._toeplitz(z)
         assert self._close(t.conj().T, t)
         assert self._close(spatial_smoothing(z), t @ t / t.shape[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=failed_mra_and_hermitian())
+    def test_matches_window_view_oracle_bit_for_bit(self, case):
+        geom, r = case
+        z = redundancy_average(r, geom)
+        assert spatial_smoothing(z).tobytes() == window_view_smoothing(z).tobytes()
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):

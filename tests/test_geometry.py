@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedoa.geometry import (
     ArrayGeometry,
@@ -14,6 +16,19 @@ from sparsedoa.geometry import (
 def brute_lags(positions):
     """Independent lag-set oracle: raw set comprehension over pairs."""
     return {a - b for a in positions for b in positions}
+
+
+def loop_coarray(geom):
+    """(lags, weights, m_v) by a walk over the active ordered pairs, the form
+    the cached pair table replaced; kept as its oracle."""
+    weights = {}
+    for a in geom.active_positions:
+        for b in geom.active_positions:
+            weights[a - b] = weights.get(a - b, 0) + 1
+    m_v = 0
+    while m_v in weights:
+        m_v += 1
+    return tuple(sorted(weights)), weights, m_v
 
 
 class TestArrayGeometry:
@@ -81,6 +96,17 @@ class TestDifferenceCoarray:
         assert co.weights[0] == active
         for lag, w in co.weights.items():
             assert co.weights[-lag] == w
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(3, 10), data=st.data())
+    def test_matches_loop_oracle(self, m, data):
+        geom = mra_lookup(m).with_failures(
+            data.draw(st.frozensets(st.integers(1, m), max_size=2)))
+        co = difference_coarray(geom)
+        assert (co.lags, co.weights, co.m_v) == loop_coarray(geom)
+        # plain ints, as the CLI's JSON output needs
+        assert all(type(v) is int for item in co.weights.items() for v in item)
 
 
 class TestEssentialSensors:

@@ -141,6 +141,11 @@ class TestConfig:
         ({"grid_step": float("nan")}, "grid_step=nan must be positive"),
         ({"master_seed": -1}, "master seed -1"),
         ({"test_snrs_db": (0.0004,)}, "float seed key 0.0004"),
+        # 8 gaps of 10 deg need 80 deg; desk draws angles in [10, 70]
+        ({"k": 9, "min_gap": 10.0}, r"k=9 sources 10\.0 deg apart do not fit \[10\.0, 70\.0\]"),
+        # train's 0.8 split keeps round(0.8 * n) rows and needs at least two
+        ({"n_train_samples": 1}, "split 0.8 of 1 rows leaves no usable training rows"),
+        ({"n_train_samples": 0}, "split 0.8 of 0 rows leaves no usable training rows"),
     ])
     def test_misuse_rejected_at_build(self, overrides, match):
         # each used to build and fail only at the first step, trial or sample
@@ -153,6 +158,14 @@ class TestConfig:
     ])
     def test_failure_count_bounds_accepted(self, overrides):
         assert preset("desk", **overrides).train_max_failures == overrides["train_max_failures"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"k": 7, "min_gap": 10.0},  # 6 gaps of 10 deg fill [10, 70] exactly
+        {"n_train_samples": 2},  # round(1.6) = 2 training rows
+    ])
+    def test_fit_and_split_bounds_accepted(self, overrides):
+        cfg = preset("desk", **overrides)
+        assert all(getattr(cfg, name) == value for name, value in overrides.items())
 
 
 class TestRunTrial:
@@ -226,6 +239,12 @@ class TestRunSweep:
         )
         result = run_sweep(cfg)
         assert len(result.rows) == 21
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_argument_below_one_rejected(self, workers):
+        # config.workers=0 is rejected at build; the argument used to run serially
+        with pytest.raises(ValueError, match=f"workers={workers} must be at least 1"):
+            run_sweep(MINI, workers=workers)
 
     def test_worker_count_invariance(self):
         seq, par = run_sweep(MINI, workers=1), run_sweep(MINI, workers=2)
