@@ -263,11 +263,19 @@ def _estimate(config: ExperimentConfig, method: str, snr_db: float, trial: int,
     )
 
 
+def _policy_mismatch(config: ExperimentConfig, meta: dict) -> str:
+    """The ``training_policy(config)`` fields that ``meta`` records with another value;
+    a field it lacks or holds as null passes, so that older files still load."""
+    return ", ".join(f"{name}={meta[name]!r} (config {value!r})"
+                     for name, value in dataclasses.asdict(training_policy(config)).items()
+                     if meta.get(name) is not None and meta[name] != value)
+
+
 def _check_models(config: ExperimentConfig, methods, models) -> None:
     """Every repair method among ``methods`` needs a trained model of its
-    variant, fitted on the config's geometry and source count (older models
-    record none); a missing, untrained or mismatched one fails before any
-    scene is drawn."""
+    variant, fitted on the config's geometry under its training policy
+    (``_policy_mismatch``); a missing, untrained or mismatched one fails
+    before any scene is drawn."""
     needed = sorted(set(methods) & {METHOD_HYBRID, METHOD_DATA_DRIVEN})
     missing = [m for m in needed if m not in (models or {})]
     if missing:
@@ -279,12 +287,13 @@ def _check_models(config: ExperimentConfig, methods, models) -> None:
             raise ValueError(f"the {method!r} model has no normalization stats; "
                              "train or load it first")
         trained_on = tuple(model.meta.get("geometry", ()))
-        trained_k = model.meta.get("n_sources")
-        if model.variant != method or trained_on != positions or trained_k not in (None, config.k):
+        differing = _policy_mismatch(config, model.meta)
+        if model.variant != method or trained_on != positions or differing:
+            detail = f"; its training policy differs in {differing}" if differing else ""
             raise ValueError(f"{method!r} needs a {method!r} model trained on geometry "
                              f"{list(positions)} with K={config.k}, got a "
                              f"{model.variant!r} model trained on {list(trained_on)} "
-                             f"with K={trained_k}")
+                             f"with K={model.meta.get('n_sources')}{detail}")
 
 
 def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
@@ -415,28 +424,28 @@ def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
 # ---------------------------------------------------------------------------
 
 def training_policy(config: ExperimentConfig) -> ScenePolicy:
+    """The scene protocol the config's repair networks are trained under."""
     return ScenePolicy(
-        n_sources=config.k,
-        angle_min=config.angle_min,
-        angle_max=config.angle_max,
-        min_gap=config.min_gap,
-        snr_min=config.train_snr_min,
-        snr_max=config.train_snr_max,
-        n_snapshots=config.n_snapshots,
-        max_failures=config.train_max_failures,
+        n_sources=config.k, angle_min=config.angle_min, angle_max=config.angle_max,
+        min_gap=config.min_gap, snr_min=config.train_snr_min, snr_max=config.train_snr_max,
+        n_snapshots=config.n_snapshots, max_failures=config.train_max_failures,
         include_no_failure=config.train_include_no_failure,
     )
 
 
 def train_variant(config: ExperimentConfig, variant: str, dataset=None):
     """Generates the variant's dataset (unless given) and trains its model,
-    both seeded by the config's master seed."""
+    both seeded by the config's master seed. A given dataset recorded under
+    another training policy is rejected."""
     geom = config.geometry()
     if dataset is None:
         dataset = generate_dataset(
             variant, geom, training_policy(config), config.n_train_samples,
             seed=config.master_seed,
         )
+    differing = _policy_mismatch(config, dataset.meta)
+    if differing:
+        raise ValueError(f"the dataset's training policy differs from the config's in {differing}")
     model = build_model(variant, geom, seed=config.master_seed)
     history = train(
         model, dataset,

@@ -16,6 +16,7 @@ min-max normalized to [0, 1].
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -160,10 +161,7 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
 
 def feature_widths(geom: ArrayGeometry) -> tuple[int, int]:
@@ -265,10 +263,7 @@ def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
             p = model.dropout_rates[i - 1]
             delta = delta * keep / (1.0 - p)
         delta = delta * cache["relu_mask"][i - 1]
-    grads: list[np.ndarray] = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.extend((gw, gb))
-    return grads
+    return [g for pair in zip(grads_w, grads_b) for g in pair]
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +394,8 @@ def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
         inputs[i] = flatten_features(repair_input(variant, r_full, failed))
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError("dataset contains non-finite features")
-    meta = {
-        "variant": variant,
-        "geometry": list(geom.positions),
-        "n_sources": policy.n_sources,
-        "angle_range": [policy.angle_min, policy.angle_max],
-        "min_gap": policy.min_gap,
-        "snr_range": [policy.snr_min, policy.snr_max],
-        "n_snapshots": policy.n_snapshots,
-        "max_failures": policy.max_failures,
-        "include_no_failure": policy.include_no_failure,
-        "seed": seed,
-    }
+    meta = {"variant": variant, "geometry": list(geom.positions), "seed": seed,
+            **dataclasses.asdict(policy)}
     return TrainingDataset(inputs=inputs, targets=targets, meta=meta)
 
 
@@ -451,10 +436,15 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     The first ``split`` fraction of rows is the training split; min-max
     stats are fitted on it alone and stored in the model. Losses are
     reported in normalized feature space: train as the running mean over
-    the epoch's batches, validation as a full inference-mode pass.
+    the epoch's batches, validation as a full inference-mode pass. The
+    ``ScenePolicy`` fields the dataset records are copied into the model's meta.
     """
     if epochs < 1:
         raise ValueError(f"epochs={epochs} must be at least 1")
+    for key, own in (("variant", model.variant), ("geometry", model.meta.get("geometry"))):
+        if dataset.meta.get(key, own) != own:  # a dataset that records neither passes
+            raise ValueError(f"a dataset recorded for {key} {dataset.meta[key]} cannot "
+                             f"train a model of {key} {own}")
     if dataset.inputs.shape[1] != model.d_in or dataset.targets.shape[1] != model.d_out:
         raise ValueError(
             f"dataset dims {dataset.inputs.shape[1]}->{dataset.targets.shape[1]} do not "
@@ -475,7 +465,8 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     model.meta.update({
         "train_seed": seed, "epochs": epochs, "batch_size": batch_size,
         "split": split, "lr": lr, "dataset_fingerprint": dataset.fingerprint(),
-        "n_sources": dataset.meta.get("n_sources"),
+        **{f.name: dataset.meta[f.name] for f in dataclasses.fields(ScenePolicy)
+           if f.name in dataset.meta},
     })
     for epoch in range(1, epochs + 1):
         tic = time.perf_counter()
@@ -493,10 +484,7 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
             total += loss * rows.size
             # no name holds the gradients, so they are freed before the next step
             adam_step(state, params, mlp_backward(model, cache, out, batch_target))
-        if x_val.shape[0]:
-            val = mse_loss(mlp_forward(model, x_val), y_val)
-        else:
-            val = float("nan")
+        val = mse_loss(mlp_forward(model, x_val), y_val) if x_val.shape[0] else float("nan")
         history.append(EpochStats(
             epoch=epoch,
             train_mse=total / n_train,

@@ -22,6 +22,7 @@ from sparsedoa.harness import (
     results_csv,
     run_sweep,
     train_variant,
+    training_policy,
 )
 from sparsedoa.neural import DATA_DRIVEN, HYBRID, build_model, generate_dataset
 
@@ -43,16 +44,7 @@ def desk_config():
 @pytest.fixture(scope="session")
 def desk_datasets(desk_config):
     geom = desk_config.geometry()
-    policy = neural.ScenePolicy(
-        n_sources=desk_config.k,
-        angle_min=desk_config.angle_min,
-        angle_max=desk_config.angle_max,
-        min_gap=desk_config.min_gap,
-        snr_min=desk_config.train_snr_min,
-        snr_max=desk_config.train_snr_max,
-        n_snapshots=desk_config.n_snapshots,
-        max_failures=desk_config.train_max_failures,
-    )
+    policy = training_policy(desk_config)
     tic = time.perf_counter()
     data = {
         variant: generate_dataset(variant, geom, policy,

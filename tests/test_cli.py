@@ -163,6 +163,35 @@ class TestTrainCommand:
         assert not (out_dir / "model_data-driven.bin").exists()
 
 
+class TestTrainingPolicyRoundTrip:
+    """The training policy travels from the dataset file through the model
+    file's header into the sweep's model check."""
+
+    @staticmethod
+    def _config(mini_config, tmp_path, name, **changes):
+        config = json.loads(mini_config.read_text())
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "methods": ["none", "data-driven"], **changes}))
+        return ["--config", str(path), "--out", str(tmp_path / name)]
+
+    def test_dataset_train_sweep(self, mini_config, tmp_path, capsys):
+        same = self._config(mini_config, tmp_path, "same")
+        assert main(["dataset", *same, "--variant", "data-driven"]) == 0
+        dataset = str(tmp_path / "same" / "dataset_data-driven.bin")
+        assert main(["train", *same, "--variant", "data-driven", "--dataset", dataset]) == 0
+        model = str(tmp_path / "same" / "model_data-driven.bin")
+        assert main(["sweep", *same, "--data-driven-model", model]) == 0
+        assert (tmp_path / "same" / "results.csv").read_text().count("data-driven") == 1
+
+        other = self._config(mini_config, tmp_path, "other", train_snr_max=20.0)
+        capsys.readouterr()
+        assert main(["sweep", *other, "--data-driven-model", model]) == 1
+        assert "training policy differs in snr_max=10.0 (config 20.0)" in capsys.readouterr().err
+        assert main(["train", *other, "--variant", "data-driven", "--dataset", dataset]) == 1
+        assert "snr_max=10.0 (config 20.0)" in capsys.readouterr().err
+        assert not list((tmp_path / "other").glob("*"))
+
+
 def test_unrepresentable_seed_fails(mini_config, tmp_path, capsys):
     # -1 would share its stream with 2**64 - 1
     assert main(["simulate", "--config", str(mini_config), "--out", str(tmp_path),

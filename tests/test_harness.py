@@ -24,11 +24,20 @@ from sparsedoa.harness import (
     run_trial,
     spectrum_csv,
     train_variant,
+    training_policy,
     _blas_thread_setter,
     _init_worker,
 )
 from sparsedoa import harness
-from sparsedoa.neural import HYBRID, build_model, load_model, save_model
+from sparsedoa.neural import (
+    DATA_DRIVEN,
+    HYBRID,
+    ScenePolicy,
+    build_model,
+    generate_dataset,
+    load_model,
+    save_model,
+)
 from sparsedoa.spectral import doa_mse
 
 # small paired-method configuration used throughout this module
@@ -289,9 +298,23 @@ class TestRunSweep:
 
 @pytest.fixture(scope="module")
 def dd_model():
-    cfg = preset("desk", m=4, k=2, n_train_samples=40, epochs=1,
-                 batch_size=16, n_snapshots=32)
+    # trained under MINI's protocol, so that it passes the checks of a MINI sweep
+    cfg = dataclasses.replace(MINI, n_train_samples=40, epochs=1, batch_size=16)
     return train_variant(cfg, "data-driven")[0]
+
+
+# each training-policy field, and a change of MINI in that field alone
+POLICY_CHANGES = {
+    "n_sources": {"k": 1},
+    "angle_min": {"angle_min": -60.0},
+    "angle_max": {"angle_max": 60.0},
+    "min_gap": {"min_gap": 10.0},
+    "n_snapshots": {"n_snapshots": 20},
+    "snr_min": {"train_snr_min": 0.0},
+    "snr_max": {"train_snr_max": 30.0},
+    "max_failures": {"train_max_failures": 1},
+    "include_no_failure": {"train_include_no_failure": True},
+}
 
 
 class TestSweepModelChecks:
@@ -371,6 +394,44 @@ class TestEntryPointModelChecks:
         save_model(legacy, tmp_path / "model.bin")
         models = {METHOD_DATA_DRIVEN: load_model(tmp_path / "model.bin")}
         assert run_trial(MINI, METHOD_DATA_DRIVEN, 10.0, 0, models=models).error is None
+
+    @pytest.mark.parametrize("name", POLICY_CHANGES)
+    def test_policy_mismatch_rejected_before_a_scene(self, dd_model, monkeypatch, name):
+        # a model trained under another scene protocol ran without a word
+        cfg = dataclasses.replace(MINI, methods=(METHOD_NONE, METHOD_DATA_DRIVEN),
+                                  **POLICY_CHANGES[name])
+        recorded = dd_model.meta[name]
+        assert recorded == getattr(training_policy(MINI), name)
+        assert recorded != getattr(training_policy(cfg), name)
+
+        def no_scene(*args):
+            raise AssertionError("a scene was drawn before the model check")
+
+        monkeypatch.setattr(harness, "trial_snapshots", no_scene)
+        models = {METHOD_DATA_DRIVEN: dd_model}
+        calls = (lambda: run_sweep(cfg, models),
+                 lambda: run_trial(cfg, METHOD_DATA_DRIVEN, 10.0, 0, models=models),
+                 lambda: emit_spectrum(cfg, 10.0, models=models))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"training policy differs in {name}="):
+                call()
+
+    def test_models_recording_part_of_the_policy(self, dd_model):
+        # older files record no policy field, or n_sources alone (null if
+        # trained on a dataset without meta): what is not recorded passes
+        assert set(POLICY_CHANGES) == {f.name for f in dataclasses.fields(ScenePolicy)}
+        other = dataclasses.replace(MINI, n_snapshots=20, min_gap=10.0, train_snr_max=30.0)
+        for kept in ({}, {"n_sources": None}, {"n_sources": 2}):
+            legacy = copy.deepcopy(dd_model)
+            for name in POLICY_CHANGES:
+                del legacy.meta[name]
+            legacy.meta.update(kept)
+            models = {METHOD_DATA_DRIVEN: legacy}
+            assert run_trial(other, METHOD_DATA_DRIVEN, 10.0, 0, models=models).error is None
+        # the last of them, which records K alone, is still K-checked
+        with pytest.raises(ValueError, match=r"with K=2; its training policy differs in "
+                                             r"n_sources=2 \(config 1\)$"):
+            run_trial(dataclasses.replace(MINI, k=1), METHOD_DATA_DRIVEN, 10.0, 0, models=models)
 
     def test_nan_weight_fails_loudly(self, dd_model):
         # a NaN weight must not be mapped to 0 by the ReLU and give finite estimates
@@ -497,6 +558,18 @@ class TestSerialization:
 
 
 class TestTrainVariant:
+    def test_dataset_of_another_policy_rejected(self):
+        # the model would be written, and no sweep under this config would accept it
+        cfg = dataclasses.replace(MINI, n_train_samples=40, epochs=1, batch_size=16)
+        ds = generate_dataset(DATA_DRIVEN, cfg.geometry(), training_policy(cfg), 40, seed=1)
+        other = dataclasses.replace(cfg, train_snr_max=30.0)
+        with pytest.raises(ValueError, match=r"differs from the config's in snr_max=10\.0 "
+                                             r"\(config 30\.0\)"):
+            train_variant(other, DATA_DRIVEN, dataset=ds)
+        model, _ = train_variant(cfg, DATA_DRIVEN, dataset=ds)
+        recorded = {name: model.meta[name] for name in POLICY_CHANGES}
+        assert recorded == dataclasses.asdict(training_policy(cfg))
+
     def test_micro_training_round(self):
         cfg = preset("desk", m=4, k=2, n_train_samples=60, epochs=2,
                      batch_size=16, n_snapshots=32)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
@@ -286,6 +287,13 @@ class TestGenerateDataset:
         assert loaded.fingerprint() != ds.fingerprint()
         assert load_dataset(tmp_path / "ds.bin").fingerprint() == loaded.fingerprint()
 
+    def test_meta_is_the_policy_under_its_own_field_names(self, tmp_path):
+        ds = generate_dataset(DATA_DRIVEN, GEOM5, DESK_POLICY, 3, seed=4)
+        assert ds.meta == {"variant": DATA_DRIVEN, "geometry": [0, 2, 5, 8, 9], "seed": 4,
+                           **dataclasses.asdict(DESK_POLICY)}
+        save_dataset(ds, tmp_path / "ds.bin")
+        assert load_dataset(tmp_path / "ds.bin").meta == ds.meta
+
     @pytest.mark.parametrize("part", ["inputs", "targets"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_file_rejects_non_finite_rows(self, tmp_path, part, value):
@@ -443,6 +451,34 @@ class TestTrain:
         model = tiny_model([8, 8], [0.0], np.random.default_rng(1))
         with pytest.raises(ValueError, match="epochs=0"):
             train(model, toy_identity_dataset(), epochs=0)
+        assert model.input_stats is None
+
+    def test_model_records_the_dataset_policy(self):
+        ds = generate_dataset(DATA_DRIVEN, GEOM5, DESK_POLICY, 20, seed=5)
+        model = build_model(DATA_DRIVEN, GEOM5, seed=5)
+        train(model, ds, epochs=1, batch_size=16, seed=5)
+        assert model.meta.items() >= dataclasses.asdict(DESK_POLICY).items()
+
+    def test_dataset_of_another_geometry_rejected(self):
+        # the mirrored 4-sensor MRA has the same feature widths
+        ds = generate_dataset(DATA_DRIVEN, mra_lookup(4), ScenePolicy(n_sources=2, n_snapshots=16),
+                              10, seed=0)
+        model = build_model(DATA_DRIVEN, ArrayGeometry((0, 2, 5, 6)), seed=0)
+        with pytest.raises(ValueError, match=r"geometry \[0, 1, 4, 6\] cannot train a model "
+                                             r"of geometry \[0, 2, 5, 6\]"):
+            train(model, ds, epochs=1, batch_size=8)
+        assert model.input_stats is None
+
+    def test_dataset_of_another_variant_rejected(self):
+        # on two sensors L = H = 8, so the widths cannot tell the variants apart
+        two = ArrayGeometry((0, 1))
+        assert feature_widths(two) == (8, 8)
+        policy = ScenePolicy(n_sources=1, n_snapshots=16, max_failures=1)
+        ds = generate_dataset(HYBRID, two, policy, 10, seed=0)
+        model = build_model(DATA_DRIVEN, two, seed=0)
+        with pytest.raises(ValueError, match="variant hybrid cannot train a model of "
+                                             "variant data-driven"):
+            train(model, ds, epochs=1, batch_size=8)
         assert model.input_stats is None
 
 
