@@ -122,6 +122,20 @@ class ExperimentConfig:
                 raise ValueError(f"{name}={getattr(self, name)} must be at least 1")
         if not self.grid_step > 0:
             raise ValueError(f"grid_step={self.grid_step} must be positive")
+        for name in ("angle_min", "angle_max", "min_gap", "train_snr_min", "train_snr_max",
+                     "learning_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
+        if not -90 < self.angle_min <= self.angle_max < 90:
+            raise ValueError(f"angle_min={self.angle_min} and angle_max={self.angle_max} "
+                             "must satisfy -90 < angle_min <= angle_max < 90")
+        if self.min_gap < 0:
+            raise ValueError(f"min_gap={self.min_gap} must be non-negative")
+        if self.train_snr_min > self.train_snr_max:
+            raise ValueError(f"train_snr_min={self.train_snr_min} exceeds "
+                             f"train_snr_max={self.train_snr_max}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate={self.learning_rate} must be positive")
         stream_seed(self.master_seed, "scene", *self.test_snrs_db)  # rejects unkeyable values
         if self.rng_algorithm != "PCG64":
             raise ValueError("only the PCG64 generator is supported")

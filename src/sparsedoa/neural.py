@@ -209,19 +209,16 @@ def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=Non
         raise ValueError(f"expected batch shape (B, {model.d_in}), got {x.shape}")
     if train and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
-    cache = {"inputs": [], "relu_mask": [], "drop_mask": []}
+    cache = {"inputs": [], "drop_mask": []}
     out = x
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         cache["inputs"].append(out)
         out = out @ w + b
         if i == last:
-            cache["relu_mask"].append(None)
             cache["drop_mask"].append(None)
             break
-        mask = out > 0
         out = np.maximum(out, 0.0)  # carries NaN through, unlike a masked select
-        cache["relu_mask"].append(mask)
         p = model.dropout_rates[i]
         if train and p > 0.0:
             keep = rng.random(out.shape) >= p
@@ -262,7 +259,7 @@ def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
         if keep is not None:
             p = model.dropout_rates[i - 1]
             delta = delta * keep / (1.0 - p)
-        delta = delta * cache["relu_mask"][i - 1]
+        delta = delta * (cache["inputs"][i] > 0)  # ReLU active and unit kept
     return [g for pair in zip(grads_w, grads_b) for g in pair]
 
 

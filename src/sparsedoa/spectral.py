@@ -121,13 +121,15 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
     """Unconditional-model Cramer-Rao bound for the source angles: the
     K x K bound matrix in degrees squared.
 
-    Built from the Fisher information of vec(R). With W = (R^T kron R)^{-1/2}
-    and (.) the column-wise Kronecker product, the angle block is
-    M_theta = W (Adot* (.) A + A* (.) Adot) diag(powers) and the nuisance
-    block M_s = W [A* (.) A, vec(I)] covers source powers and noise power;
-    the bound is the inverse Schur complement of the angle block, scaled by
-    1/N and converted to degrees squared. Eigenvalues of R^T kron R are
-    floored at 1e-12 of the largest. Failed sensors are excluded.
+    Built from the Fisher information of vec(R), whitened by
+    (R^T kron R)^{-1/2} = S* kron S with S = R^{-1/2} from the M x M
+    eigendecomposition of R (eigenvalues floored at 1e-6 of the largest).
+    With A~ = S A, Adot~ = S Adot and (.) the column-wise Kronecker product,
+    the angle block is M_theta = (Adot~* (.) A~ + A~* (.) Adot~) diag(powers)
+    and the nuisance block M_s = [A~* (.) A~, vec(S S)] covers source powers
+    and noise power; the bound is the inverse Schur complement of the angle
+    block, scaled by 1/N and converted to degrees squared. Failed sensors
+    are excluded.
     """
     if scene.k < 1:
         raise ValueError("bound needs at least one source")
@@ -135,22 +137,17 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
         raise ValueError("need at least one snapshot")
     pos = np.asarray(geom.active_positions, dtype=np.float64)
     m = pos.size
+    powers = np.asarray(scene.powers)
     a = steering_matrix(pos, scene.angles_deg)
     theta = np.deg2rad(np.asarray(scene.angles_deg, dtype=np.float64))
     a_dot = 1j * np.pi * pos[:, None] * np.cos(theta)[None, :] * a
-    r = (a * np.asarray(scene.powers)) @ a.conj().T + scene.noise_power * np.eye(m)
-    a_d = khatri_rao(a.conj(), a)
-    a_d_dot = khatri_rao(a_dot.conj(), a) + khatri_rao(a.conj(), a_dot)
-
-    w_mat = np.kron(r.T, r)
-    lam, u = np.linalg.eigh((w_mat + w_mat.conj().T) / 2.0)
-    floor = 1e-12 * lam[-1]
+    lam, u = hermitian_eig((a * powers) @ a.conj().T + scene.noise_power * np.eye(m))
     if lam[-1] <= 0:
-        raise np.linalg.LinAlgError("covariance Kronecker product is not positive")
-    inv_sqrt = u @ np.diag(1.0 / np.sqrt(np.maximum(lam, floor))) @ u.conj().T
-
-    m_theta = inv_sqrt @ (a_d_dot * np.asarray(scene.powers))
-    m_s = inv_sqrt @ np.column_stack([a_d, vectorize_covariance(np.eye(m))])
+        raise np.linalg.LinAlgError("covariance is not positive")
+    s = (u / np.sqrt(np.maximum(lam, 1e-6 * lam[-1]))) @ u.conj().T
+    a, a_dot = s @ a, s @ a_dot  # whitened: A~, Adot~
+    m_theta = (khatri_rao(a_dot.conj(), a) + khatri_rao(a.conj(), a_dot)) * powers
+    m_s = np.column_stack([khatri_rao(a.conj(), a), vectorize_covariance(s @ s)])
 
     gram = m_s.conj().T @ m_s
     try:

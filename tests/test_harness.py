@@ -155,6 +155,19 @@ class TestConfig:
         # train's 0.8 split keeps round(0.8 * n) rows and needs at least two
         ({"n_train_samples": 1}, "split 0.8 of 1 rows leaves no usable training rows"),
         ({"n_train_samples": 0}, "split 0.8 of 0 rows leaves no usable training rows"),
+        # ranges a scene or training step cannot draw from; a NaN policy field
+        # would also fail every model's policy comparison
+        ({"m": 4, "k": 2, "train_snr_min": 20.0}, "train_snr_min=20.0 exceeds train_snr_max=10.0"),
+        ({"angle_min": float("nan")}, "angle_min=nan must be finite"),
+        ({"min_gap": float("nan")}, "min_gap=nan must be finite"),
+        ({"train_snr_max": float("nan")}, "train_snr_max=nan must be finite"),
+        ({"train_snr_min": float("inf")}, "train_snr_min=inf must be finite"),
+        ({"min_gap": -5.0}, "min_gap=-5.0 must be non-negative"),
+        ({"angle_max": 120.0}, "angle_max=120.0 must satisfy -90 < angle_min <= angle_max < 90"),
+        ({"angle_min": -95.0}, "angle_min=-95.0 and angle_max=70.0 must satisfy -90 <"),
+        ({"learning_rate": -1.0}, "learning_rate=-1.0 must be positive"),
+        ({"learning_rate": 0.0}, "learning_rate=0.0 must be positive"),
+        ({"learning_rate": float("nan")}, "learning_rate=nan must be finite"),
     ])
     def test_misuse_rejected_at_build(self, overrides, match):
         # each used to build and fail only at the first step, trial or sample

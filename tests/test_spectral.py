@@ -2,12 +2,20 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sparsedoa.coarray import redundancy_average, spatial_smoothing
-from sparsedoa.geometry import ArrayGeometry, mra_lookup
+from sparsedoa.coarray import (
+    khatri_rao,
+    redundancy_average,
+    spatial_smoothing,
+    vectorize_covariance,
+)
+from sparsedoa.geometry import ArrayGeometry, difference_coarray, mra_lookup
+from sparsedoa.harness import preset, trial_snapshots
 from sparsedoa.signals import (
     SourceScene,
     analytic_covariance,
+    draw_angles,
     scene_from_snr,
+    steering_matrix,
 )
 from sparsedoa.spectral import (
     MusicSpectrum,
@@ -165,6 +173,59 @@ class TestDoaMse:
             doa_mse([[1.0]], [[1.0, 2.0]])
 
 
+def kronecker_crb(geom, scene, n_snapshots):
+    """Oracle: the CRB whitened by the M^2 x M^2 matrix (R^T kron R)^{-1/2},
+    formed and eigendecomposed directly (its eigenvalues floored at 1e-12 of
+    the largest)."""
+    pos = np.asarray(geom.active_positions, dtype=np.float64)
+    m = pos.size
+    a = steering_matrix(pos, scene.angles_deg)
+    theta = np.deg2rad(np.asarray(scene.angles_deg, dtype=np.float64))
+    a_dot = 1j * np.pi * pos[:, None] * np.cos(theta)[None, :] * a
+    r = (a * np.asarray(scene.powers)) @ a.conj().T + scene.noise_power * np.eye(m)
+    a_d = khatri_rao(a.conj(), a)
+    a_d_dot = khatri_rao(a_dot.conj(), a) + khatri_rao(a.conj(), a_dot)
+    w_mat = np.kron(r.T, r)
+    lam, u = np.linalg.eigh((w_mat + w_mat.conj().T) / 2.0)
+    inv_sqrt = u @ np.diag(1.0 / np.sqrt(np.maximum(lam, 1e-12 * lam[-1]))) @ u.conj().T
+    m_theta = inv_sqrt @ (a_d_dot * np.asarray(scene.powers))
+    m_s = inv_sqrt @ np.column_stack([a_d, vectorize_covariance(np.eye(m))])
+    coupling = m_s @ np.linalg.solve(m_s.conj().T @ m_s, m_s.conj().T @ m_theta)
+    fim_schur = m_theta.conj().T @ (m_theta - coupling)
+    crb_rad = np.linalg.inv(np.real(fim_schur + fim_schur.conj().T) / 2.0) / n_snapshots
+    return (crb_rad + crb_rad.T) / 2.0 * (180 / np.pi) ** 2
+
+
+def finite_difference_crb(geom, scene, n_snapshots):
+    """Oracle: Slepian-Bangs information via central differences of R(eta),
+    eta = (angles in rad, powers, noise power), over the active sensors."""
+    k = scene.k
+    pos = np.asarray(geom.active_positions)
+    eta0 = np.concatenate([np.deg2rad(scene.angles_deg), scene.powers, [scene.noise_power]])
+
+    def cov(eta):
+        a = steering_matrix(pos, np.rad2deg(eta[:k]))
+        return (a * eta[k:2 * k]) @ a.conj().T + eta[-1] * np.eye(pos.size)
+
+    r_inv = np.linalg.inv(cov(eta0))
+    h = 1e-6
+    derivs = []
+    for i in range(eta0.size):
+        ep, em = eta0.copy(), eta0.copy()
+        ep[i] += h
+        em[i] -= h
+        derivs.append((cov(ep) - cov(em)) / (2 * h))
+    fim = np.array([
+        [np.real(np.trace(r_inv @ da @ r_inv @ db)) for db in derivs]
+        for da in derivs
+    ]) * n_snapshots
+    return np.linalg.inv(fim)[:k, :k] * (180 / np.pi) ** 2
+
+
+def relative_gap(got, oracle):
+    return np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
+
+
 class TestCrb:
     def test_doubling_n_halves_diagonal(self):
         geom = mra_lookup(5)
@@ -189,33 +250,53 @@ class TestCrb:
         assert w.min() >= -1e-10 * np.trace(c)
 
     def test_matches_finite_difference_fisher(self):
-        # Slepian-Bangs information via central differences of R(eta)
         geom = mra_lookup(5)
         scene = scene_from_snr((20.0,), 0.0)
-        n = 200
-        got = crb(geom, scene, n)[0, 0]
+        oracle = finite_difference_crb(geom, scene, 200)
+        assert relative_gap(crb(geom, scene, 200), oracle) < 0.01
 
-        theta0 = np.deg2rad(20.0)
-        eta0 = np.array([theta0, 1.0, scene.noise_power])
+    def test_matches_finite_difference_fisher_unequal_powers_failed_sensor(self):
+        geom = mra_lookup(5).with_failures({3})
+        scene = SourceScene((-25.0, 30.0), (1.0, 2.5), 0.4)
+        oracle = finite_difference_crb(geom, scene, 200)
+        assert relative_gap(crb(geom, scene, 200), oracle) < 0.01
 
-        def cov(eta):
-            sc = SourceScene((np.rad2deg(eta[0]),), (eta[1],), eta[2])
-            return analytic_covariance(geom, sc)
+    def test_matches_kronecker_oracle(self):
+        # random scenes: M = 3..10, intact or one failed sensor, unequal
+        # powers, K up to m_v - 1 (so K >= M occurs). Two kinds of scene are
+        # left out, because there neither form is meaningful in float64:
+        # K above the U distinct positive lags of the active sensors (2K + 1
+        # parameters against the 2U + 1 real degrees of freedom of R, so the
+        # Fisher information is singular and both forms return rounding
+        # noise), and bounds with condition number 1e6 or more.
+        rng = np.random.default_rng(2017)
+        checked = 0
+        for _ in range(320):
+            geom = mra_lookup(int(rng.integers(3, 11)))
+            k = int(rng.integers(1, difference_coarray(geom).m_v))
+            if rng.random() < 0.5:
+                geom = geom.with_failures({int(rng.integers(1, geom.size + 1))})
+            scene = SourceScene(tuple(draw_angles(k, -70.0, 70.0, 2.0, rng)),
+                                tuple(rng.uniform(0.3, 3.0, k)),
+                                float(10.0 ** (-rng.uniform(-10.0, 20.0) / 10.0)))
+            if k > sum(1 for lag in difference_coarray(geom).lags if lag > 0):
+                continue
+            oracle = kronecker_crb(geom, scene, 200)
+            if np.linalg.cond(oracle) >= 1e6:
+                continue
+            assert relative_gap(crb(geom, scene, 200), oracle) < 1e-9, (geom, scene)
+            checked += 1
+        assert checked >= 200
 
-        r_inv = np.linalg.inv(cov(eta0))
-        h = 1e-6
-        derivs = []
-        for a in range(3):
-            ep, em = eta0.copy(), eta0.copy()
-            ep[a] += h
-            em[a] -= h
-            derivs.append((cov(ep) - cov(em)) / (2 * h))
-        fim = np.array([
-            [np.real(np.trace(r_inv @ da @ r_inv @ db)) for db in derivs]
-            for da in derivs
-        ]) * n
-        oracle = np.linalg.inv(fim)[0, 0] * (180 / np.pi) ** 2
-        assert abs(got - oracle) / oracle < 0.01
+    def test_matches_kronecker_oracle_on_sweep_and_criterion_3_scenes(self):
+        scenes = [(cfg.geometry(), trial_snapshots(cfg, snr, trial)[0], cfg.n_snapshots)
+                  for cfg in (preset("desk"), preset("paper"))
+                  for snr in cfg.test_snrs_db[::2] for trial in range(3)]
+        # K = 9 on the 5-sensor MRA at 20 dB, N = 5000
+        angles = np.rad2deg(np.arcsin(np.linspace(-0.87, 0.87, 9)))
+        scenes.append((mra_lookup(5), scene_from_snr(tuple(angles), 20.0), 5000))
+        for geom, scene, n in scenes:
+            assert relative_gap(crb(geom, scene, n), kronecker_crb(geom, scene, n)) < 1e-11
 
     def test_noise_monotonicity(self):
         geom = mra_lookup(5)
