@@ -328,7 +328,10 @@ def _run_item(config: ExperimentConfig, snr_db: float, trial: int,
     ]
     crb_diag = float("nan")
     if config.wants_crb:
-        crb_diag = float(np.mean(np.diag(crb(config.geometry(), scene, config.n_snapshots))))
+        try:
+            crb_diag = float(np.mean(np.diag(crb(config.geometry(), scene, config.n_snapshots))))
+        except np.linalg.LinAlgError:
+            pass  # a scene with no bound stays NaN, and so does its row's mean
     return records, crb_diag
 
 

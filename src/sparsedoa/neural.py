@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,32 +38,11 @@ from .signals import (
 )
 
 __all__ = [
-    "HYBRID",
-    "DATA_DRIVEN",
-    "NormStats",
-    "MlpModel",
-    "AdamState",
-    "ScenePolicy",
-    "TrainingDataset",
-    "EpochStats",
-    "TrainingDiverged",
-    "minmax_fit",
-    "minmax_apply",
-    "minmax_invert",
-    "build_model",
-    "mlp_forward",
-    "mlp_backward",
-    "mse_loss",
-    "adam_init",
-    "adam_step",
-    "repair_input",
-    "generate_dataset",
-    "train",
-    "predict_covariance",
-    "save_model",
-    "load_model",
-    "save_dataset",
-    "load_dataset",
+    "HYBRID", "DATA_DRIVEN", "NormStats", "MlpModel", "AdamState", "ScenePolicy",
+    "TrainingDataset", "EpochStats", "TrainingDiverged", "minmax_fit", "minmax_apply",
+    "minmax_invert", "build_model", "mlp_forward", "mlp_backward", "mse_loss",
+    "adam_init", "adam_step", "repair_input", "generate_dataset", "train",
+    "predict_covariance", "save_model", "load_model", "save_dataset", "load_dataset",
 ]
 
 HYBRID = "hybrid"
@@ -136,7 +116,8 @@ class MlpModel:
 
     ``layer_dims`` is the width chain [d_in, out_1, ..., out_n];
     ``dropout_rates[i]`` is the post-activation drop probability after
-    affine layer i (the output layer's rate is always 0).
+    affine layer i (the output layer's rate is always 0). The given weights and
+    biases are packed into one float64 vector ``flat`` and become views into it.
     """
 
     variant: str
@@ -147,6 +128,17 @@ class MlpModel:
     input_stats: NormStats | None = None
     target_stats: NormStats | None = None
     meta: dict = field(default_factory=dict)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
+        views = _parameter_views(self.flat, self.layer_dims)
+        if [v.shape for v in views] != [np.shape(p) for p in self.parameters()]:
+            raise ValueError(f"parameter shapes do not match layer_dims {self.layer_dims}")
+        self.weights, self.biases = views[::2], views[1::2]
+
+    def __reduce__(self):  # copies are rebuilt by __init__, so their views share their own flat
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
 
     @property
     def n_layers(self) -> int:
@@ -162,6 +154,16 @@ class MlpModel:
 
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+
+def _parameter_views(flat: np.ndarray, dims) -> list[np.ndarray]:
+    """W_0, b_0, W_1, b_1, ... as views into ``flat``, the layer-major order of
+    ``MlpModel.flat`` and of the model file."""
+    views, start = [], 0
+    for shape in (s for a, b in zip(dims, dims[1:]) for s in ((a, b), (b,))):
+        views.append(flat[start:start + math.prod(shape)].reshape(shape))
+        start += views[-1].size
+    return views
 
 
 def feature_widths(geom: ArrayGeometry) -> tuple[int, int]:
@@ -187,14 +189,9 @@ def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(
-        variant=variant,
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        dropout_rates=dropout,
-        meta={"geometry": list(geom.positions), "init_seed": seed},
-    )
+    return MlpModel(variant=variant, layer_dims=dims, weights=weights, biases=biases,
+                    dropout_rates=dropout,
+                    meta={"geometry": list(geom.positions), "init_seed": seed})
 
 
 def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=None):
@@ -236,22 +233,25 @@ def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
 
 
 def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
-                 target: np.ndarray):
+                 target: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
     """Exact MSE gradients for all weights and biases.
 
     The loss is the mean over batch entries and features, so the output
     gradient is 2*(output - target)/(B*D); active dropout masks from the
-    cached forward pass are respected.
+    cached forward pass are respected. They are written into ``out``, laid
+    out as ``model.flat`` (a new vector when None), and returned as its views.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != output.shape:
         raise ValueError(f"target shape {target.shape} != output shape {output.shape}")
+    out = np.empty_like(model.flat) if out is None else out
+    if out.shape != model.flat.shape or out.dtype != model.flat.dtype:
+        raise ValueError(f"gradient buffer must be float64 of shape {model.flat.shape}")
+    grads = _parameter_views(out, model.layer_dims)
     delta = 2.0 * (output - target) / output.size
-    grads_w: list[np.ndarray] = [None] * model.n_layers
-    grads_b: list[np.ndarray] = [None] * model.n_layers
     for i in range(model.n_layers - 1, -1, -1):
-        grads_w[i] = cache["inputs"][i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(cache["inputs"][i].T, delta, out=grads[2 * i])
+        np.sum(delta, axis=0, out=grads[2 * i + 1])
         if i == 0:
             break
         delta = delta @ model.weights[i].T
@@ -260,7 +260,7 @@ def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
             p = model.dropout_rates[i - 1]
             delta = delta * keep / (1.0 - p)
         delta = delta * (cache["inputs"][i] > 0)  # ReLU active and unit kept
-    return [g for pair in zip(grads_w, grads_b) for g in pair]
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,7 @@ def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_CHUNK = 1 << 15  # elements per Adam block: the six blocks in flight fit in cache
 
 
 @dataclass
@@ -288,19 +289,30 @@ def adam_init(params: list[np.ndarray], lr: float) -> AdamState:
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One bias-corrected Adam update, applied to the parameters in place."""
+    """One bias-corrected Adam update, in place, over C-contiguous arrays in blocks of
+    ``ADAM_CHUNK`` elements through two scratch blocks (no full-size temporary). Each
+    block takes the elementwise steps of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the bits are the same."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient/state lengths differ")
+    groups = list(zip(params, grads, state.m, state.v))
+    if not all(a.flags.c_contiguous for group in groups for a in group):
+        raise ValueError("Adam updates C-contiguous arrays only")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    corr1 = 1.0 - b1**state.step
-    corr2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    corr1, corr2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    scratch = np.empty((2, ADAM_CHUNK))
+    for group in groups:
+        whole = [a.reshape(-1) for a in group]
+        for lo in range(0, whole[0].size, ADAM_CHUNK):
+            p, g, m, v = (a[lo:lo + ADAM_CHUNK] for a in whole)
+            t, u = scratch[:, :p.size]
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=t)
+            v *= b2
+            v += np.multiply(np.multiply(g, 1.0 - b2, out=t), g, out=t)
+            np.add(np.sqrt(np.divide(v, corr2, out=t), out=t), ADAM_EPS, out=t)
+            p -= np.divide(np.multiply(np.divide(m, corr1, out=u), state.lr, out=u), t, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +467,8 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     x_val = minmax_apply(dataset.inputs[n_train:], model.input_stats)
     y_val = minmax_apply(dataset.targets[n_train:], model.target_stats)
 
-    params = model.parameters()
-    state = adam_init(params, lr=lr)
+    state = adam_init([model.flat], lr=lr)
+    grad = np.empty_like(model.flat)  # reused by every step
     rng = stream_rng(seed, "train", model.variant)
     history: list[EpochStats] = []
     model.meta.update({
@@ -471,16 +483,16 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
         total = 0.0
         for start in range(0, n_train, batch_size):
             rows = order[start : start + batch_size]
-            out, cache = mlp_forward(model, x_train[rows], train=True, rng=rng)
+            pred, cache = mlp_forward(model, x_train[rows], train=True, rng=rng)
             batch_target = y_train[rows]
-            loss = mse_loss(out, batch_target)
+            loss = mse_loss(pred, batch_target)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite training loss at epoch {epoch}", history
                 )
             total += loss * rows.size
-            # no name holds the gradients, so they are freed before the next step
-            adam_step(state, params, mlp_backward(model, cache, out, batch_target))
+            mlp_backward(model, cache, pred, batch_target, out=grad)
+            adam_step(state, [model.flat], [grad])
         val = mse_loss(mlp_forward(model, x_val), y_val) if x_val.shape[0] else float("nan")
         history.append(EpochStats(
             epoch=epoch,
@@ -542,10 +554,6 @@ def _read_file(path, magic: str, body_bytes) -> tuple[dict, bytearray]:
     return header, body
 
 
-def _parameter_sizes(dims) -> list[int]:
-    return [n for fan_in, fan_out in zip(dims, dims[1:]) for n in (fan_in * fan_out, fan_out)]
-
-
 def save_model(model: MlpModel, path) -> None:
     """JSON header line + float64 little-endian parameters, layer-major."""
     header = {
@@ -557,28 +565,27 @@ def save_model(model: MlpModel, path) -> None:
         "target_stats": model.target_stats.to_jsonable() if model.target_stats else None,
         "meta": model.meta,
     }
-    _write_file(path, header, (p.astype("<f8", copy=False) for p in model.parameters()))
+    _write_file(path, header, [model.flat.astype("<f8", copy=False)])
 
 
 def load_model(path) -> MlpModel:
-    header, body = _read_file(path, MODEL_MAGIC,
-                              lambda h: 8 * sum(_parameter_sizes(h["layer_dims"])))
+    header, body = _read_file(path, MODEL_MAGIC, lambda h: 8 * sum(
+        (fan_in + 1) * fan_out for fan_in, fan_out in zip(h["layer_dims"], h["layer_dims"][1:])))
     dims = header["layer_dims"]
-    params = np.split(np.frombuffer(body, dtype="<f8"),
-                      np.cumsum(_parameter_sizes(dims))[:-1])
+    params = _parameter_views(np.frombuffer(body, dtype="<f8"), dims)
     stats = {key: NormStats.from_jsonable(header[key]) if header[key] else None
              for key in ("input_stats", "target_stats")}
     model = MlpModel(
         variant=header["variant"],
         layer_dims=dims,
-        weights=[w.reshape(a, b) for w, a, b in zip(params[::2], dims, dims[1:])],
+        weights=params[::2],
         biases=params[1::2],
         dropout_rates=header["dropout_rates"],
         meta=header.get("meta", {}),
         **stats,
     )
-    arrays = params + [a for s in stats.values() if s is not None
-                       for a in (s.minimum, s.maximum)]
+    arrays = [model.flat] + [a for s in stats.values() if s is not None
+                             for a in (s.minimum, s.maximum)]
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"{path}: non-finite parameters or normalization stats")
     return model

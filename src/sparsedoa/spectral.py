@@ -129,7 +129,9 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
     and the nuisance block M_s = [A~* (.) A~, vec(S S)] covers source powers
     and noise power; the bound is the inverse Schur complement of the angle
     block, scaled by 1/N and converted to degrees squared. Failed sensors
-    are excluded.
+    are excluded. When the Schur complement or the bound is not numerically
+    positive definite (so also when a diagonal entry of the bound is not
+    positive), the scene is not identifiable and ``LinAlgError`` is raised.
     """
     if scene.k < 1:
         raise ValueError("bound needs at least one source")
@@ -159,11 +161,13 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
     fim_schur = m_theta.conj().T @ (m_theta - coupling)
     fim_schur = np.real(fim_schur + fim_schur.conj().T) / 2.0
     try:
+        np.linalg.cholesky(fim_schur)  # raises unless positive definite
         crb_rad = np.linalg.inv(fim_schur) / n_snapshots
+        crb_rad = (crb_rad + crb_rad.T) / 2.0
+        np.linalg.cholesky(crb_rad)  # so must the bound be, after rounding
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"Fisher information for the angles is singular (K={scene.k}, M={m}); "
             "the scene is not identifiable"
         ) from exc
-    crb_rad = (crb_rad + crb_rad.T) / 2.0
     return crb_rad * RAD2DEG_SQ

@@ -484,6 +484,14 @@ class TestTrialErrors:
         row = run_sweep(dataclasses.replace(MINI, methods=(METHOD_NONE,))).rows[0]
         assert np.isnan(row["mse_deg2"]) and row["q"] == 0 and row["res_fail_rate"] == 1.0
 
+    def test_unidentifiable_bound_is_booked_as_nan(self):
+        # trial 0 at 0 dB of the desk preset with K = 9 has a numerically
+        # singular angle Fisher information; the sweep goes on without a bound
+        cfg = preset("desk", k=9, test_snrs_db=(0.0,), q_trials=2, grid_step=0.2,
+                     methods=(METHOD_NONE, "crb"))
+        (row,) = run_sweep(cfg).rows
+        assert np.isnan(row["crb_deg2"]) and row["q"] == 2
+
 
 class TestPaperGeometry:
     """Fixed-seed integration checks on the full-scale 10-sensor array."""

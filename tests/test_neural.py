@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,10 @@ from sparsedoa.coarray import (
 )
 from sparsedoa.geometry import ArrayGeometry, mra_lookup
 from sparsedoa.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_CHUNK,
+    ADAM_EPS,
     DATA_DRIVEN,
     HYBRID,
     MlpModel,
@@ -219,6 +224,49 @@ class TestAdam:
         for _ in range(200):
             adam_step(state, params, [2.0 * (params[0] - 3.0)])
         assert abs(params[0][0] - 3.0) < 0.05
+
+
+def adam_step_oracle(state, params, grads):
+    """The whole-array Adam update that the blocked ``adam_step`` replaced."""
+    state.step += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    corr1 = 1.0 - b1**state.step
+    corr2 = 1.0 - b2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+
+
+class TestAdamBlocks:
+    @pytest.mark.parametrize("shapes", [
+        [(ADAM_CHUNK - 1,)],
+        [(ADAM_CHUNK,)],
+        [(ADAM_CHUNK + 1,)],
+        # a model's parameter list: matrices and vectors, one above two blocks
+        [(40, 30), (30,), (2 * ADAM_CHUNK + 7,), (3, 5), (5,)],
+    ])
+    def test_matches_whole_array_oracle_bytes(self, shapes):
+        rng = np.random.default_rng(len(shapes) + shapes[0][0])
+        params = [rng.standard_normal(shape) for shape in shapes]
+        oracle_params = [p.copy() for p in params]
+        state, oracle = adam_init(params, lr=1e-3), adam_init(oracle_params, lr=1e-3)
+        for _ in range(20):
+            grads = [rng.standard_normal(shape) * rng.uniform(1e-3, 10.0) for shape in shapes]
+            adam_step(state, params, grads)
+            adam_step_oracle(oracle, oracle_params, grads)
+        assert state.step == oracle.step == 20
+        for got, want in zip(params + state.m + state.v,
+                             oracle_params + oracle.m + oracle.v):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_non_contiguous_arrays(self):
+        params = [np.zeros((4, 6))[:, ::2]]
+        state = adam_init([np.zeros((4, 3))], lr=0.1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(state, params, [np.ones((4, 3))])
 
 
 class TestArchitecture:
@@ -560,6 +608,91 @@ class TestPredictCovariance:
         r = analytic_covariance(GEOM5, scene_from_snr((10.0,), 0.0))
         with pytest.raises(ValueError, match="normalization"):
             predict_covariance(model, r, GEOM5)
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    def test_views_are_layer_major_in_flat(self, variant):
+        model = build_model(variant, GEOM5, seed=0)
+        params = model.parameters()
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        assert model.flat.size == sum(p.size for p in params)
+        assert all(np.shares_memory(p, model.flat) for p in params)
+        model.flat[:] = np.arange(model.flat.size)
+        start = 0
+        for p in params:  # W_0, b_0, W_1, b_1, ...
+            npt.assert_array_equal(p.reshape(-1), np.arange(start, start + p.size))
+            start += p.size
+
+    def test_lists_are_packed(self):
+        rng = np.random.default_rng(2)
+        weights = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
+        biases = [rng.standard_normal(4), rng.standard_normal(2)]
+        model = MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], weights=weights,
+                         biases=biases, dropout_rates=[0.0, 0.0])
+        given = [weights[0], biases[0], weights[1], biases[1]]
+        npt.assert_array_equal(model.flat, np.concatenate([p.ravel() for p in given]))
+        for p, q in zip(model.parameters(), given):
+            assert np.shares_memory(p, model.flat) and not np.shares_memory(q, model.flat)
+            npt.assert_array_equal(p, q)
+
+    def test_shapes_must_match_layer_dims(self):
+        with pytest.raises(ValueError, match="layer_dims"):
+            MlpModel(variant=HYBRID, layer_dims=[3, 2], weights=[np.zeros((2, 3))],
+                     biases=[np.zeros(2)], dropout_rates=[0.0])
+
+    def test_copy_owns_its_flat(self):
+        model = build_model(HYBRID, GEOM5, seed=0)
+        twin = copy.deepcopy(model)
+        assert not np.shares_memory(twin.flat, model.flat)
+        assert all(np.shares_memory(p, twin.flat) for p in twin.parameters())
+        twin.weights[1][2, 3] = 7.0
+        assert model.weights[1][2, 3] != 7.0 and 7.0 in twin.flat
+
+    def test_write_through_a_view_reaches_the_file(self, tmp_path):
+        model = build_model(DATA_DRIVEN, GEOM5, seed=0)
+        model.biases[2][5] = np.nan
+        assert np.isnan(model.flat).sum() == 1
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_model(path)
+
+    def test_file_is_header_then_each_parameter(self, tmp_path, trained_pair):
+        model = trained_pair[HYBRID]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        header, body = data.split(b"\n", 1)
+        assert json.loads(header)["layer_dims"] == model.layer_dims
+        assert body == b"".join(p.astype("<f8").tobytes() for p in model.parameters())
+        again = tmp_path / "again.bin"
+        save_model(load_model(path), again)
+        assert again.read_bytes() == data
+
+    @pytest.mark.parametrize("dims,dropout", [
+        ([6, 6, 6, 6, 6], [0.2, 0.4, 0.0, 0.0]),
+        ([4, 4, 4, 8, 8, 8], [0.2, 0.2, 0.2, 0.2, 0.0]),
+    ])
+    def test_backward_into_a_reused_buffer(self, dims, dropout):
+        rng = np.random.default_rng(12)
+        model = tiny_model(dims, dropout, rng)
+        buffer = np.full_like(model.flat, np.nan)
+        for step in range(2):
+            x = rng.standard_normal((5, dims[0]))
+            t = rng.standard_normal((5, dims[-1]))
+            out, cache = mlp_forward(model, x, train=True, rng=np.random.default_rng(step))
+            views = mlp_backward(model, cache, out, t, out=buffer)
+            fresh = mlp_backward(model, cache, out, t)
+            assert all(np.shares_memory(v, buffer) for v in views)
+            assert buffer.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
+
+    def test_backward_rejects_a_misfit_buffer(self):
+        model = tiny_model([3, 2], [0.0], np.random.default_rng(0))
+        out, cache = mlp_forward(model, np.ones((1, 3)), train=True,
+                                 rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="gradient buffer"):
+            mlp_backward(model, cache, out, out, out=np.empty(model.flat.size + 1))
 
 
 class TestModelFile:
