@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .coarray import redundancy_average, spatial_smoothing
 from .geometry import ArrayGeometry, difference_coarray, mra_lookup
 from .neural import (
     DATA_DRIVEN,
@@ -46,7 +45,7 @@ from .signals import (
     stream_rng,
     stream_seed,
 )
-from .spectral import MusicSpectrum, crb, doa_mse, music_spectrum, pick_peaks
+from .spectral import crb, doa_mse, music_spectrum, pick_peaks
 
 __all__ = [
     "METHOD_NONE",
@@ -237,44 +236,61 @@ def trial_snapshots(config: ExperimentConfig, snr_db: float, trial: int):
     return scene, simulate_snapshots(config.geometry(), scene, config.n_snapshots, rng)
 
 
-def _spectrum(config: ExperimentConfig, method: str, r_full,
-              models: dict[str, MlpModel] | None) -> MusicSpectrum:
-    """MUSIC pseudospectrum of the covariance the method hands to MUSIC
-    (intact, damaged, or repaired)."""
-    if method == METHOD_NONE:
-        r_music = spatial_smoothing(redundancy_average(r_full, config.geometry()))
-    elif method == METHOD_FAILED:  # the damaged matrix the hybrid network repairs
-        r_music = repair_input(HYBRID, r_full, config.failed_geometry())
-    elif method in (METHOD_HYBRID, METHOD_DATA_DRIVEN):
-        r_music = predict_covariance(models[method], r_full, config.failed_geometry())
-    else:
-        raise ValueError(f"unknown estimation method {method!r}")
-    return music_spectrum(r_music, config.k, grid_step=config.grid_step)
+_BLOCK_ITEMS = 32  # (SNR, trial) items per block: one repair-network forward per model
 
 
-def _estimate(config: ExperimentConfig, method: str, snr_db: float, trial: int,
-              scene, r_full, models) -> TrialRecord:
-    """One method's record on one trial; a failed linear-algebra step books an
-    errored record, and any other error propagates."""
-    tic = time.perf_counter()
-    estimated = (float("nan"),) * config.k
-    resolution_failure, error = True, None
-    try:
-        peaks = pick_peaks(_spectrum(config, method, r_full, models), config.k)
-        estimated = tuple(float(a) for a in peaks.angles_deg)
-        resolution_failure = bool(peaks.resolution_failure)
-    except np.linalg.LinAlgError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    return TrialRecord(
-        trial=trial,
-        snr_db=snr_db,
-        method=method,
-        estimated_deg=estimated,
-        true_deg=tuple(float(a) for a in scene.angles_deg),
-        resolution_failure=resolution_failure,
-        wall_seconds=time.perf_counter() - tic,
-        error=error,
-    )
+def _music_inputs(config: ExperimentConfig, methods, items, models):
+    """Scenes of a block of (snr_db, trial) items, each method's covariances for MUSIC
+    (one per item), and the seconds per item that forming them took. Each repair
+    network runs once over the block's stacked covariances."""
+    scenes, snapshots = zip(*(trial_snapshots(config, snr_db, trial) for snr_db, trial in items))
+    r_full = [sample_covariance(y) for y in snapshots]
+    inputs, seconds = {}, {}
+    for method in methods:
+        tic = time.perf_counter()
+        if method in (METHOD_HYBRID, METHOD_DATA_DRIVEN):
+            inputs[method] = predict_covariance(models[method], np.stack(r_full),
+                                                config.failed_geometry())
+        elif method in (METHOD_NONE, METHOD_FAILED):  # the intact or damaged smoothed matrix
+            geom = config.geometry() if method == METHOD_NONE else config.failed_geometry()
+            inputs[method] = [repair_input(HYBRID, r, geom) for r in r_full]
+        else:
+            raise ValueError(f"unknown estimation method {method!r}")
+        seconds[method] = (time.perf_counter() - tic) / len(items)
+    return scenes, inputs, seconds
+
+
+def _run_block(config: ExperimentConfig, methods, items, models,
+               with_crb: bool) -> tuple[list[TrialRecord], list[float]]:
+    """Every method's record on each (snr_db, trial) item of a block, item by item,
+    and each item's mean CRB diagonal (NaN without ``with_crb`` or without a bound).
+    A failed linear-algebra step in MUSIC or peak picking books an errored record for
+    that record alone; any other error propagates."""
+    scenes, inputs, shares = _music_inputs(config, methods, items, models)
+    records, crb_diags = [], []
+    for i, ((snr_db, trial), scene) in enumerate(zip(items, scenes)):
+        truth = tuple(float(a) for a in scene.angles_deg)
+        for method in methods:
+            tic = time.perf_counter()
+            estimated, resolution_failure, error = (float("nan"),) * config.k, True, None
+            try:
+                peaks = pick_peaks(music_spectrum(inputs[method][i], config.k,
+                                                  grid_step=config.grid_step), config.k)
+                estimated = tuple(float(a) for a in peaks.angles_deg)
+                resolution_failure = bool(peaks.resolution_failure)
+            except np.linalg.LinAlgError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            records.append(TrialRecord(trial, snr_db, method, estimated, truth, resolution_failure,
+                                       time.perf_counter() - tic + shares[method], error))
+        crb_diag = float("nan")
+        if with_crb:
+            try:
+                crb_diag = float(np.mean(np.diag(crb(config.geometry(), scene,
+                                                     config.n_snapshots))))
+            except np.linalg.LinAlgError:
+                pass  # a scene with no bound stays NaN, and so does its row's mean
+        crb_diags.append(crb_diag)
+    return records, crb_diags
 
 
 def _policy_mismatch(config: ExperimentConfig, meta: dict) -> str:
@@ -312,27 +328,11 @@ def _check_models(config: ExperimentConfig, methods, models) -> None:
 
 def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
               models: dict[str, MlpModel] | None = None) -> TrialRecord:
-    """Runs one full pipeline trial; deterministic in (master_seed, snr, trial)."""
+    """Runs one full pipeline trial, as a block of one item; deterministic in
+    (master_seed, snr, trial)."""
     _check_models(config, (method,), models)
-    scene, y = trial_snapshots(config, snr_db, trial)
-    return _estimate(config, method, snr_db, trial, scene, sample_covariance(y), models)
-
-
-def _run_item(config: ExperimentConfig, snr_db: float, trial: int,
-              models) -> tuple[list[TrialRecord], float]:
-    scene, y = trial_snapshots(config, snr_db, trial)
-    r_full = sample_covariance(y)
-    records = [
-        _estimate(config, method, snr_db, trial, scene, r_full, models)
-        for method in config.estimation_methods
-    ]
-    crb_diag = float("nan")
-    if config.wants_crb:
-        try:
-            crb_diag = float(np.mean(np.diag(crb(config.geometry(), scene, config.n_snapshots))))
-        except np.linalg.LinAlgError:
-            pass  # a scene with no bound stays NaN, and so does its row's mean
-    return records, crb_diag
+    (record,), _ = _run_block(config, (method,), [(snr_db, trial)], models, with_crb=False)
+    return record
 
 
 _WORKER_CTX: dict = {}
@@ -355,10 +355,10 @@ def _init_worker(config: ExperimentConfig, models, set_blas_threads) -> None:
     _WORKER_CTX["models"] = models
 
 
-def _pool_item(args) -> tuple[list[TrialRecord], float]:
-    snr_idx, trial = args
+def _pool_block(items) -> tuple[list[TrialRecord], list[float]]:
     config = _WORKER_CTX["config"]
-    return _run_item(config, config.test_snrs_db[snr_idx], trial, _WORKER_CTX["models"])
+    return _run_block(config, config.estimation_methods, items, _WORKER_CTX["models"],
+                      config.wants_crb)
 
 
 @dataclass
@@ -373,41 +373,38 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
               workers: int | None = None) -> SweepResult:
     """Monte Carlo sweep over the test SNR grid.
 
-    One work item per (SNR, trial) simulates the scene once and runs all
-    configured methods on it. Items are reduced in (SNR, trial) order, so
-    the aggregated table does not depend on the worker count.
+    The (SNR, trial) items, SNR-major, are cut into blocks of ``_BLOCK_ITEMS``
+    by their indices alone; a block simulates each of its scenes once and runs
+    all configured methods on them. Blocks are reduced in order, so the
+    aggregated table does not depend on the worker count.
     """
     _check_models(config, config.estimation_methods, models)
     workers = config.workers if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers={workers} must be at least 1")
-    items = [
-        (snr_idx, trial)
-        for snr_idx in range(len(config.test_snrs_db))
-        for trial in range(config.q_trials)
-    ]
+    methods = config.estimation_methods
+    items = [(snr_db, trial) for snr_db in config.test_snrs_db for trial in range(config.q_trials)]
+    blocks = [items[i:i + _BLOCK_ITEMS] for i in range(0, len(items), _BLOCK_ITEMS)]
     if workers == 1:
-        outcomes = [_run_item(config, config.test_snrs_db[snr_idx], trial, models)
-                    for snr_idx, trial in items]
+        outcomes = [_run_block(config, methods, block, models, config.wants_crb)
+                    for block in blocks]
     else:
         # fork: initargs (the models) are not pickled; workers keep the parent's tracing
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker, initargs=(config, models, _blas_thread_setter()),
         ) as pool:
-            chunk = max(1, len(items) // (8 * workers))
-            outcomes = list(pool.map(_pool_item, items, chunksize=chunk))
+            outcomes = list(pool.map(_pool_block, blocks))
+    all_records = [r for records, _ in outcomes for r in records]
+    crb_diags = [c for _, diags in outcomes for c in diags]
 
     rows: list[dict] = []
-    all_records: list[TrialRecord] = []
     for snr_idx, snr_db in enumerate(config.test_snrs_db):
-        trial_results = outcomes[snr_idx * config.q_trials:(snr_idx + 1) * config.q_trials]
-        for records, _ in trial_results:
-            all_records.extend(records)
-        crb_vals = np.asarray([c for _, c in trial_results])
-        crb_mean = float(np.mean(crb_vals)) if config.wants_crb else float("nan")
-        for m_idx, method in enumerate(config.estimation_methods):
-            recs = [records[m_idx] for records, _ in trial_results]
+        lo, hi = snr_idx * config.q_trials, (snr_idx + 1) * config.q_trials
+        snr_records = all_records[lo * len(methods):hi * len(methods)]
+        crb_mean = float(np.mean(crb_diags[lo:hi]))  # NaN without crb: every diagonal is NaN
+        for m_idx, method in enumerate(methods):
+            recs = snr_records[m_idx::len(methods)]
             ok = [r for r in recs if r.error is None]
             failed = sum(1 for r in recs if r.resolution_failure or r.error is not None)
             mse = (doa_mse([r.estimated_deg for r in ok], [r.true_deg for r in ok])
@@ -429,9 +426,9 @@ def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
     """Pseudospectra of every method on one shared trial realization."""
     methods = methods if methods is not None else config.estimation_methods
     _check_models(config, methods, models)
-    scene, y = trial_snapshots(config, snr_db, trial)
-    r_full = sample_covariance(y)
-    spectra = {method: _spectrum(config, method, r_full, models) for method in methods}
+    (scene,), inputs, _ = _music_inputs(config, methods, [(snr_db, trial)], models)
+    spectra = {method: music_spectrum(inputs[method][0], config.k, grid_step=config.grid_step)
+               for method in methods}
     grid = next(iter(spectra.values())).grid if spectra else None
     return grid, {method: s.values for method, s in spectra.items()}, scene
 

@@ -117,7 +117,8 @@ class MlpModel:
     ``layer_dims`` is the width chain [d_in, out_1, ..., out_n];
     ``dropout_rates[i]`` is the post-activation drop probability after
     affine layer i (the output layer's rate is always 0). The given weights and
-    biases are packed into one float64 vector ``flat`` and become views into it.
+    biases are packed into one float64 vector ``flat`` and become views into it;
+    arrays that already are those views of one vector keep it, uncopied.
     """
 
     variant: str
@@ -131,7 +132,15 @@ class MlpModel:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat = np.concatenate([np.ravel(p) for p in self.parameters()], dtype=np.float64)
+        params = self.parameters()
+        flat = getattr(params[0] if params else None, "base", None)  # kept if params view it
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+                and flat.shape == (_parameter_count(self.layer_dims),)
+                and all(getattr(p, "base", None) is flat
+                        and p.__array_interface__ == v.__array_interface__
+                        for p, v in zip(params, _parameter_views(flat, self.layer_dims)))):
+            flat = np.concatenate([np.ravel(p) for p in params], dtype=np.float64)
+        self.flat = flat
         views = _parameter_views(self.flat, self.layer_dims)
         if [v.shape for v in views] != [np.shape(p) for p in self.parameters()]:
             raise ValueError(f"parameter shapes do not match layer_dims {self.layer_dims}")
@@ -154,6 +163,10 @@ class MlpModel:
 
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
+
+
+def _parameter_count(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 
 def _parameter_views(flat: np.ndarray, dims) -> list[np.ndarray]:
@@ -184,11 +197,11 @@ def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     rng = stream_rng(seed, "init", variant)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    params = _parameter_views(np.zeros(_parameter_count(dims)), dims)
+    weights, biases = params[::2], params[1::2]
+    for w in weights:  # each draw goes into its view before the next is made
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
     return MlpModel(variant=variant, layer_dims=dims, weights=weights, biases=biases,
                     dropout_rates=dropout,
                     meta={"geometry": list(geom.positions), "init_seed": seed})
@@ -508,21 +521,23 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
 # ---------------------------------------------------------------------------
 
 def predict_covariance(model: MlpModel, r_full: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
-    """Predicted smoothed covariance of the failed array ``geom``. The input is built from
-    ``r_full``, the physical covariance of every sensor, by ``repair_input`` for the
-    model's own variant, as its training rows were."""
+    """Predicted smoothed covariances (B, m_v, m_v) of the failed array ``geom`` from a
+    stack ``r_full`` (B, M, M) of physical covariances of every sensor. Each input row is
+    built by ``repair_input`` for the model's own variant, as its training rows were, and
+    one forward pass repairs the whole stack; a non-finite output anywhere raises."""
     if model.input_stats is None or model.target_stats is None:
         raise ValueError("model has no normalization stats; train or load it first")
-    features = flatten_features(repair_input(model.variant, r_full, geom))
-    if features.size != model.d_in:
+    if np.ndim(r_full) != 3:
+        raise ValueError(f"expected a stack of covariances (B, M, M), got shape {np.shape(r_full)}")
+    features = np.stack([flatten_features(repair_input(model.variant, r, geom)) for r in r_full])
+    if features.shape[1] != model.d_in:
         raise ValueError(
-            f"feature length {features.size} does not match model input {model.d_in}"
+            f"feature length {features.shape[1]} does not match model input {model.d_in}"
         )
-    x = minmax_apply(features[None, :], model.input_stats)
-    out = mlp_forward(model, x)
+    out = mlp_forward(model, minmax_apply(features, model.input_stats))
     if not np.isfinite(out).all():
         raise FloatingPointError("repair network output is not finite")
-    return unflatten_features(minmax_invert(out[0], model.target_stats))
+    return np.stack([unflatten_features(row) for row in minmax_invert(out, model.target_stats)])
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +584,9 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    header, body = _read_file(path, MODEL_MAGIC, lambda h: 8 * sum(
-        (fan_in + 1) * fan_out for fan_in, fan_out in zip(h["layer_dims"], h["layer_dims"][1:])))
+    header, body = _read_file(path, MODEL_MAGIC, lambda h: 8 * _parameter_count(h["layer_dims"]))
     dims = header["layer_dims"]
-    params = _parameter_views(np.frombuffer(body, dtype="<f8"), dims)
+    params = _parameter_views(np.frombuffer(body, dtype="<f8"), dims)  # the model keeps them
     stats = {key: NormStats.from_jsonable(header[key]) if header[key] else None
              for key in ("input_stats", "target_stats")}
     model = MlpModel(

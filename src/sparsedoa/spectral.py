@@ -131,7 +131,9 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
     block, scaled by 1/N and converted to degrees squared. Failed sensors
     are excluded. When the Schur complement or the bound is not numerically
     positive definite (so also when a diagonal entry of the bound is not
-    positive), the scene is not identifiable and ``LinAlgError`` is raised.
+    positive), or the Schur complement's condition number exceeds 1e8 (a bound
+    with no correct digits), the scene is not identifiable and ``LinAlgError``
+    is raised.
     """
     if scene.k < 1:
         raise ValueError("bound needs at least one source")
@@ -162,6 +164,8 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
     fim_schur = np.real(fim_schur + fim_schur.conj().T) / 2.0
     try:
         np.linalg.cholesky(fim_schur)  # raises unless positive definite
+        if np.linalg.cond(fim_schur) > 1e8:  # sweep scenes stay below 1e4, singular ones >1e15
+            raise np.linalg.LinAlgError("Schur complement too ill-conditioned")
         crb_rad = np.linalg.inv(fim_schur) / n_snapshots
         crb_rad = (crb_rad + crb_rad.T) / 2.0
         np.linalg.cholesky(crb_rad)  # so must the bound be, after rounding

@@ -28,7 +28,7 @@ from sparsedoa.harness import (
     _blas_thread_setter,
     _init_worker,
 )
-from sparsedoa import harness
+from sparsedoa import harness, neural, spectral
 from sparsedoa.neural import (
     DATA_DRIVEN,
     HYBRID,
@@ -314,6 +314,84 @@ def dd_model():
     # trained under MINI's protocol, so that it passes the checks of a MINI sweep
     cfg = dataclasses.replace(MINI, n_train_samples=40, epochs=1, batch_size=16)
     return train_variant(cfg, "data-driven")[0]
+
+
+@pytest.fixture(scope="module")
+def repair_models(dd_model):
+    cfg = dataclasses.replace(MINI, n_train_samples=40, epochs=1, batch_size=16)
+    return {METHOD_HYBRID: train_variant(cfg, "hybrid")[0], METHOD_DATA_DRIVEN: dd_model}
+
+
+def _timeless(result) -> str:
+    return records_csv([dataclasses.replace(r, wall_seconds=0.0) for r in result.records])
+
+
+class TestBlockEngine:
+    """The sweep cuts its (SNR, trial) items into blocks of ``_BLOCK_ITEMS`` and
+    runs each repair network once per block."""
+
+    # 2 SNRs x 40 trials: three blocks, the last one partial
+    CFG = dataclasses.replace(MINI, q_trials=40, methods=(
+        METHOD_NONE, METHOD_FAILED, METHOD_HYBRID, METHOD_DATA_DRIVEN, "crb"))
+
+    def test_records_equal_run_trial(self, repair_models):
+        result = run_sweep(self.CFG, repair_models)
+        methods = self.CFG.estimation_methods
+        assert len(result.records) == 80 * len(methods)
+        for rec in result.records:
+            want = run_trial(self.CFG, rec.method, rec.snr_db, rec.trial, models=repair_models)
+            assert (rec.error, rec.resolution_failure) == (want.error, want.resolution_failure)
+            assert rec.true_deg == want.true_deg and rec.estimated_deg == want.estimated_deg
+            assert rec.squared_errors == want.squared_errors
+        order = [(r.snr_db, r.trial, r.method) for r in result.records]
+        assert order == [(s, t, m) for s in self.CFG.test_snrs_db
+                         for t in range(self.CFG.q_trials) for m in methods]
+
+    @pytest.mark.parametrize("q_trials", [40, 10])  # 3 blocks; 1 block, fewer than workers
+    def test_worker_count_invariance(self, repair_models, q_trials):
+        cfg = dataclasses.replace(self.CFG, q_trials=q_trials)
+        sweeps = [run_sweep(cfg, repair_models, workers=w) for w in (1, 2, 3)]
+        assert len({results_csv(s.rows) for s in sweeps}) == 1
+        assert len({_timeless(s) for s in sweeps}) == 1
+
+    def test_one_forward_per_model_per_block(self, repair_models, monkeypatch):
+        rows = []
+
+        def counted(model, batch, *args, **kwargs):
+            rows.append((model.variant, len(batch)))
+            return forward(model, batch, *args, **kwargs)
+
+        forward = neural.mlp_forward
+        monkeypatch.setattr(neural, "mlp_forward", counted)
+        run_sweep(self.CFG, repair_models)
+        assert sorted(rows) == sorted((variant, size) for size in (32, 32, 16)
+                                      for variant in (HYBRID, DATA_DRIVEN))
+
+    def test_linalg_error_stays_on_its_record(self, repair_models, monkeypatch):
+        # trial 37 at 0 dB is the sixth item of the second block: every MUSIC input
+        # of that trial raises, and its block neighbours are untouched
+        clean = run_sweep(self.CFG, repair_models)
+        methods = self.CFG.estimation_methods
+        items = [(0.0, t) for t in range(32, 40)] + [(10.0, t) for t in range(24)]
+        _, inputs, _ = harness._music_inputs(self.CFG, methods, items, repair_models)
+        chosen = [inputs[m][5] for m in methods]
+        eig = spectral.hermitian_eig
+
+        def failing(r):
+            if any(np.array_equal(r, c) for c in chosen):
+                raise np.linalg.LinAlgError("chosen")
+            return eig(r)
+
+        monkeypatch.setattr(spectral, "hermitian_eig", failing)
+        hit = run_sweep(self.CFG, repair_models)
+        for before, after in zip(clean.records, hit.records):
+            if (after.snr_db, after.trial) == (0.0, 37):
+                assert after.error == "LinAlgError: chosen" and after.resolution_failure
+                assert np.isnan(after.estimated_deg).all()
+            else:
+                assert dataclasses.replace(after, wall_seconds=0.0) == \
+                    dataclasses.replace(before, wall_seconds=0.0)
+        assert results_csv(hit.rows) != results_csv(clean.rows)
 
 
 # each training-policy field, and a change of MINI in that field alone

@@ -23,6 +23,7 @@ from sparsedoa.neural import (
     DATA_DRIVEN,
     HYBRID,
     MlpModel,
+    _parameter_views,
     ScenePolicy,
     TrainingDiverged,
     adam_init,
@@ -565,9 +566,9 @@ class TestPredictCovariance:
     def test_output_hermitian_and_sized(self, trained_pair):
         r = self._full_covariance()
         for variant in (HYBRID, DATA_DRIVEN):
-            out = predict_covariance(trained_pair[variant], r, self.FAILED)
-            assert out.shape == (10, 10) and out.dtype == np.complex128
-            npt.assert_array_equal(out, out.conj().T)
+            out = predict_covariance(trained_pair[variant], r[None], self.FAILED)
+            assert out.shape == (1, 10, 10) and out.dtype == np.complex128
+            npt.assert_array_equal(out[0], out[0].conj().T)
 
     def test_each_variant_builds_its_own_input(self, ula_pair):
         # the feature width alone cannot tell the two damaged inputs apart here
@@ -579,9 +580,9 @@ class TestPredictCovariance:
             inputs[variant] = flatten_features(repair_input(variant, r, failed))
             x = minmax_apply(inputs[variant][None, :], model.input_stats)
             out = unflatten_features(minmax_invert(mlp_forward(model, x)[0], model.target_stats))
-            npt.assert_array_equal(predict_covariance(model, r, failed), out)
+            npt.assert_array_equal(predict_covariance(model, r[None], failed)[0], out)
             # the failures travel in the geometry: the intact array is repaired differently
-            assert not np.allclose(predict_covariance(model, r, ULA4), out)
+            assert not np.allclose(predict_covariance(model, r[None], ULA4)[0], out)
         assert not np.allclose(inputs[HYBRID], inputs[DATA_DRIVEN])
 
     def test_other_geometry_rejected_by_width(self, trained_pair):
@@ -589,25 +590,40 @@ class TestPredictCovariance:
         r = analytic_covariance(geom4, scene_from_snr((15.0, 30.0), 5.0))
         for model in trained_pair.values():
             with pytest.raises(ValueError, match="does not match model input"):
-                predict_covariance(model, r, geom4.with_failures({1}))
+                predict_covariance(model, r[None], geom4.with_failures({1}))
 
     def test_zero_failure_roles_accepted(self, trained_pair):
         r = self._full_covariance(seed=32)
         for model in trained_pair.values():
-            assert predict_covariance(model, r, GEOM5).shape == (10, 10)
+            assert predict_covariance(model, r[None], GEOM5).shape == (1, 10, 10)
 
     @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
     def test_non_finite_output_raises(self, trained_pair, variant):
         model = copy.deepcopy(trained_pair[variant])
         model.weights[0][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="not finite"):
-            predict_covariance(model, self._full_covariance(), self.FAILED)
+            predict_covariance(model, self._full_covariance()[None], self.FAILED)
 
     def test_untrained_model_rejected(self):
         model = build_model(HYBRID, GEOM5, seed=0)
         r = analytic_covariance(GEOM5, scene_from_snr((10.0,), 0.0))
         with pytest.raises(ValueError, match="normalization"):
-            predict_covariance(model, r, GEOM5)
+            predict_covariance(model, r[None], GEOM5)
+
+    def test_stack_rows_match_single_predictions(self, trained_pair):
+        # one forward over the stack; a GEMM row may differ from the batch-1 GEMV
+        # product in its last bits only
+        r = np.stack([self._full_covariance(seed) for seed in range(33, 38)])
+        for model in trained_pair.values():
+            stacked = predict_covariance(model, r, self.FAILED)
+            assert stacked.shape == (5, 10, 10)
+            for row, one in zip(stacked, r):
+                npt.assert_allclose(row, predict_covariance(model, one[None], self.FAILED)[0],
+                                    rtol=1e-12, atol=1e-12 * np.abs(row).max())
+
+    def test_single_matrix_rejected(self, trained_pair):
+        with pytest.raises(ValueError, match=r"stack of covariances \(B, M, M\)"):
+            predict_covariance(trained_pair[HYBRID], self._full_covariance(), self.FAILED)
 
 
 class TestFlatParameters:
@@ -640,6 +656,42 @@ class TestFlatParameters:
         with pytest.raises(ValueError, match="layer_dims"):
             MlpModel(variant=HYBRID, layer_dims=[3, 2], weights=[np.zeros((2, 3))],
                      biases=[np.zeros(2)], dropout_rates=[0.0])
+
+    def test_views_of_one_vector_are_adopted(self):
+        # parameters that already are the layer-major views of one vector keep it:
+        # packing them again would hold every parameter twice
+        flat = np.arange(26.0)
+        views = _parameter_views(flat, [3, 4, 2])
+        model = MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], weights=views[::2],
+                         biases=views[1::2], dropout_rates=[0.0, 0.0])
+        assert model.flat is flat
+        # views of a longer or strided vector are packed
+        for other in (np.arange(27.0), np.arange(52.0)[::2]):
+            views = _parameter_views(other, [3, 4, 2])
+            model = MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], weights=views[::2],
+                             biases=views[1::2], dropout_rates=[0.0, 0.0])
+            assert not np.shares_memory(model.flat, other)
+            npt.assert_array_equal(model.flat, other[:26])
+
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    def test_build_draws_each_layer_as_before(self, variant):
+        # the draws go straight into the views, in the order separate arrays were drawn
+        model = build_model(variant, GEOM5, seed=4)
+        rng = stream_rng(4, "init", variant)
+        dims = model.layer_dims
+        expected = []
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            expected += [rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros(fan_out)]
+        npt.assert_array_equal(model.flat, np.concatenate([p.ravel() for p in expected]))
+        assert model.flat.flags.owndata  # built in place, not packed from a copy
+
+    def test_loaded_model_keeps_the_read_vector(self, tmp_path):
+        model = build_model(DATA_DRIVEN, GEOM5, seed=0)
+        save_model(model, tmp_path / "model.bin")
+        loaded = load_model(tmp_path / "model.bin")
+        assert not loaded.flat.flags.owndata and loaded.flat.flags.writeable
+        npt.assert_array_equal(loaded.flat, model.flat)
 
     def test_copy_owns_its_flat(self):
         model = build_model(HYBRID, GEOM5, seed=0)

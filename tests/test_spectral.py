@@ -314,27 +314,17 @@ class TestCrb:
         with pytest.raises(np.linalg.LinAlgError):
             crb(geom, scene, 100)
 
-    # Sweep scenes of the desk preset with K = 9 (9 sources 5 deg apart on the
-    # 5-sensor MRA) whose Schur complement is numerically singular: the M x M
-    # whitening, like the Kronecker oracle, inverted them into bounds with a
-    # negative diagonal entry.
-    K9_NEGATIVE_DIAGONAL = ((0.0, 0), (0.0, 4), (0.0, 5), (0.0, 9), (10.0, 3), (10.0, 4),
-                            (10.0, 5), (10.0, 6), (20.0, 2), (20.0, 8), (20.0, 9))
-
     def test_numerically_singular_fisher_raises(self):
+        # Sweep scenes of the desk preset with K = 9 (9 sources 5 deg apart on the
+        # 5-sensor MRA), whose Schur complement is numerically singular: inverted,
+        # 11 of them gave a negative diagonal entry and the other 19 finite bounds
+        # with condition numbers of 1.6e15-1.4e19, whose digits are all rounding.
         cfg = preset("desk", k=9)
         for snr in (0.0, 10.0, 20.0):
             for trial in range(10):
                 scene = trial_snapshots(cfg, snr, trial)[0]
-                if (snr, trial) in self.K9_NEGATIVE_DIAGONAL:
-                    with pytest.raises(np.linalg.LinAlgError, match="not identifiable"):
-                        crb(cfg.geometry(), scene, cfg.n_snapshots)
-                    continue
-                try:
-                    bound = crb(cfg.geometry(), scene, cfg.n_snapshots)
-                except np.linalg.LinAlgError:
-                    continue
-                assert (np.diag(bound) > 0).all(), (snr, trial)
+                with pytest.raises(np.linalg.LinAlgError, match="not identifiable"):
+                    crb(cfg.geometry(), scene, cfg.n_snapshots)
 
     def test_bound_that_is_not_positive_definite_raises(self, monkeypatch):
         # an inverse that rounding left with a non-positive diagonal entry
