@@ -10,7 +10,6 @@ array-processing convention.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "is_hole_free",
     "essential_sensors",
     "mra_lookup",
-    "mra_search",
-    "MRA_TABLE_LIMIT",
 ]
 
 
@@ -147,7 +144,8 @@ def essential_sensors(geom: ArrayGeometry) -> frozenset[int]:
 
 # Restricted (hole-free) minimum-redundancy arrays from the classic
 # Moffet/Ishiguro tables. The 5-sensor row is the mirror image of the
-# tabulated {0,1,4,7,9}; mirrored layouts have identical coarrays.
+# tabulated {0,1,4,7,9}; mirrored layouts have identical coarrays. Every
+# row has m_v = aperture + 1; the 10-sensor one gives m_v = 36.
 _MRA_TABLE = {
     1: (0,),
     2: (0, 1),
@@ -163,69 +161,9 @@ _MRA_TABLE = {
     12: (0, 1, 6, 14, 22, 30, 38, 40, 42, 45, 47, 49),
 }
 
-MRA_TABLE_LIMIT = max(_MRA_TABLE)
-
-# The 10-sensor layout must produce a 36-element one-sided virtual ULA
-# (71 contiguous lags); tables listing aperture 36 for 10 sensors would
-# violate that and are rejected here.
-_EXPECTED_M_V = {10: 36}
-
-
-def _verify_mra_table() -> None:
-    for m, positions in _MRA_TABLE.items():
-        geom = ArrayGeometry(positions)
-        co = difference_coarray(geom)
-        if not is_hole_free(co, geom.aperture):
-            raise AssertionError(f"MRA table entry M={m} is not hole-free: {positions}")
-        if co.m_v != geom.aperture + 1:
-            raise AssertionError(
-                f"MRA table entry M={m}: m_v={co.m_v} != aperture+1={geom.aperture + 1}"
-            )
-        expected = _EXPECTED_M_V.get(m)
-        if expected is not None and co.m_v != expected:
-            raise AssertionError(
-                f"MRA table entry M={m}: m_v={co.m_v}, expected {expected}"
-            )
-
-
-_verify_mra_table()
-
 
 def mra_lookup(m: int) -> ArrayGeometry:
-    """Tabulated restricted MRA with ``m`` sensors (verified hole-free)."""
+    """Tabulated restricted MRA with ``m`` sensors."""
     if m not in _MRA_TABLE:
-        raise ValueError(f"no tabulated MRA for M={m} (table covers 1..{MRA_TABLE_LIMIT})")
+        raise ValueError(f"no tabulated MRA for M={m} (table covers 1..{max(_MRA_TABLE)})")
     return ArrayGeometry(_MRA_TABLE[m])
-
-
-def mra_search(m: int, max_aperture: int) -> ArrayGeometry:
-    """Brute-force restricted-MRA search.
-
-    Returns the sensor layout with the largest aperture not exceeding
-    ``max_aperture`` whose difference coarray is hole-free over that
-    aperture; ties break to the lexicographically smallest position
-    vector. Exponential in ``m``; intended for m <= 7.
-    """
-    if m < 1:
-        raise ValueError("need at least one sensor")
-    if m == 1:
-        return ArrayGeometry((0,))
-    if max_aperture < m - 1:
-        raise ValueError(
-            f"no hole-free configuration with {m} sensors fits aperture {max_aperture}"
-        )
-    upper = min(max_aperture, m * (m - 1) // 2)
-    for aperture in range(upper, m - 2, -1):
-        for inner in itertools.combinations(range(1, aperture), m - 2):
-            positions = (0,) + inner + (aperture,)
-            if _covers_all_lags(positions, aperture):
-                return ArrayGeometry(positions)
-    raise ValueError(f"no hole-free configuration found for M={m}")  # pragma: no cover
-
-
-def _covers_all_lags(positions, aperture: int) -> bool:
-    seen = 0
-    for i, a in enumerate(positions):
-        for b in positions[i + 1 :]:
-            seen |= 1 << (b - a)
-    return seen == ((1 << (aperture + 1)) - 2)

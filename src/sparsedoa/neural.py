@@ -59,26 +59,18 @@ DATASET_MAGIC = "sparsedoa-dataset-v1"
 
 @dataclass
 class NormStats:
-    """Per-feature min/max from the fit set; constant features pass through."""
+    """Per-feature min/max from the fit set; constant features (max <= min) pass through."""
 
     minimum: np.ndarray
     maximum: np.ndarray
-    constant: np.ndarray
 
     def to_jsonable(self) -> dict:
-        return {
-            "minimum": self.minimum.tolist(),
-            "maximum": self.maximum.tolist(),
-            "constant": self.constant.astype(int).tolist(),
-        }
+        return {"minimum": self.minimum.tolist(), "maximum": self.maximum.tolist()}
 
     @classmethod
-    def from_jsonable(cls, data: dict) -> "NormStats":
-        return cls(
-            minimum=np.asarray(data["minimum"], dtype=np.float64),
-            maximum=np.asarray(data["maximum"], dtype=np.float64),
-            constant=np.asarray(data["constant"], dtype=bool),
-        )
+    def from_jsonable(cls, data: dict) -> "NormStats":  # older files' "constant" is derived
+        return cls(minimum=np.asarray(data["minimum"], dtype=np.float64),
+                   maximum=np.asarray(data["maximum"], dtype=np.float64))
 
 
 def minmax_fit(data: np.ndarray) -> NormStats:
@@ -87,23 +79,23 @@ def minmax_fit(data: np.ndarray) -> NormStats:
         raise ValueError("fit needs a 2-D array with at least two rows")
     if not np.isfinite(data).all():
         raise ValueError("non-finite values in normalization fit data")
-    lo = data.min(axis=0)
-    hi = data.max(axis=0)
-    return NormStats(minimum=lo, maximum=hi, constant=hi <= lo)
+    return NormStats(minimum=data.min(axis=0), maximum=data.max(axis=0))
+
+
+def _span_shift(stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
+    constant = stats.maximum <= stats.minimum
+    return (np.where(constant, 1.0, stats.maximum - stats.minimum),
+            np.where(constant, 0.0, stats.minimum))
 
 
 def minmax_apply(data: np.ndarray, stats: NormStats) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    span = np.where(stats.constant, 1.0, stats.maximum - stats.minimum)
-    shift = np.where(stats.constant, 0.0, stats.minimum)
-    return (data - shift) / span
+    span, shift = _span_shift(stats)
+    return (np.asarray(data, dtype=np.float64) - shift) / span
 
 
 def minmax_invert(data: np.ndarray, stats: NormStats) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    span = np.where(stats.constant, 1.0, stats.maximum - stats.minimum)
-    shift = np.where(stats.constant, 0.0, stats.minimum)
-    return data * span + shift
+    span, shift = _span_shift(stats)
+    return np.asarray(data, dtype=np.float64) * span + shift
 
 
 # ---------------------------------------------------------------------------
@@ -116,42 +108,29 @@ class MlpModel:
 
     ``layer_dims`` is the width chain [d_in, out_1, ..., out_n];
     ``dropout_rates[i]`` is the post-activation drop probability after
-    affine layer i (the output layer's rate is always 0). The given weights and
-    biases are packed into one float64 vector ``flat`` and become views into it;
-    arrays that already are those views of one vector keep it, uncopied.
+    affine layer i (the output layer's rate is always 0). ``flat`` holds every
+    parameter, layer-major W_0, b_0, W_1, b_1, ...; ``weights`` and ``biases``
+    are views into it.
     """
 
     variant: str
     layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray = field(repr=False)
     dropout_rates: list[float]
     input_stats: NormStats | None = None
     target_stats: NormStats | None = None
     meta: dict = field(default_factory=dict)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        params = self.parameters()
-        flat = getattr(params[0] if params else None, "base", None)  # kept if params view it
-        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
-                and flat.shape == (_parameter_count(self.layer_dims),)
-                and all(getattr(p, "base", None) is flat
-                        and p.__array_interface__ == v.__array_interface__
-                        for p, v in zip(params, _parameter_views(flat, self.layer_dims)))):
-            flat = np.concatenate([np.ravel(p) for p in params], dtype=np.float64)
-        self.flat = flat
-        views = _parameter_views(self.flat, self.layer_dims)
-        if [v.shape for v in views] != [np.shape(p) for p in self.parameters()]:
-            raise ValueError(f"parameter shapes do not match layer_dims {self.layer_dims}")
-        self.weights, self.biases = views[::2], views[1::2]
-
-    def __reduce__(self):  # copies are rebuilt by __init__, so their views share their own flat
-        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
+        count = _parameter_count(self.layer_dims)
+        if not (isinstance(self.flat, np.ndarray) and self.flat.dtype == np.float64
+                and self.flat.shape == (count,) and self.flat.flags.c_contiguous):
+            raise ValueError(f"flat must be a C-contiguous float64 vector of {count} "
+                             f"parameters for layer_dims {self.layer_dims}")
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims) - 1
 
     @property
     def d_in(self) -> int:
@@ -161,8 +140,16 @@ class MlpModel:
     def d_out(self) -> int:
         return self.layer_dims[-1]
 
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return self.parameters()[::2]
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return self.parameters()[1::2]
+
     def parameters(self) -> list[np.ndarray]:
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
+        return _parameter_views(self.flat, self.layer_dims)
 
 
 def _parameter_count(dims) -> int:
@@ -197,14 +184,13 @@ def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     rng = stream_rng(seed, "init", variant)
-    params = _parameter_views(np.zeros(_parameter_count(dims)), dims)
-    weights, biases = params[::2], params[1::2]
-    for w in weights:  # each draw goes into its view before the next is made
+    model = MlpModel(variant=variant, layer_dims=dims, flat=np.zeros(_parameter_count(dims)),
+                     dropout_rates=dropout,
+                     meta={"geometry": list(geom.positions), "init_seed": seed})
+    for w in model.weights:  # each draw goes into its view before the next is made
         bound = np.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return MlpModel(variant=variant, layer_dims=dims, weights=weights, biases=biases,
-                    dropout_rates=dropout,
-                    meta={"geometry": list(geom.positions), "init_seed": seed})
+    return model
 
 
 def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=None):
@@ -222,7 +208,8 @@ def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=Non
     cache = {"inputs": [], "drop_mask": []}
     out = x
     last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    params = model.parameters()
+    for i, (w, b) in enumerate(zip(params[::2], params[1::2])):
         cache["inputs"].append(out)
         out = out @ w + b
         if i == last:
@@ -261,13 +248,14 @@ def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
     if out.shape != model.flat.shape or out.dtype != model.flat.dtype:
         raise ValueError(f"gradient buffer must be float64 of shape {model.flat.shape}")
     grads = _parameter_views(out, model.layer_dims)
+    weights = model.weights
     delta = 2.0 * (output - target) / output.size
     for i in range(model.n_layers - 1, -1, -1):
         np.matmul(cache["inputs"][i].T, delta, out=grads[2 * i])
         np.sum(delta, axis=0, out=grads[2 * i + 1])
         if i == 0:
             break
-        delta = delta @ model.weights[i].T
+        delta = delta @ weights[i].T
         keep = cache["drop_mask"][i - 1]
         if keep is not None:
             p = model.dropout_rates[i - 1]
@@ -586,14 +574,16 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     header, body = _read_file(path, MODEL_MAGIC, lambda h: 8 * _parameter_count(h["layer_dims"]))
     dims = header["layer_dims"]
-    params = _parameter_views(np.frombuffer(body, dtype="<f8"), dims)  # the model keeps them
     stats = {key: NormStats.from_jsonable(header[key]) if header[key] else None
              for key in ("input_stats", "target_stats")}
+    for (key, s), width in zip(stats.items(), (dims[0], dims[-1])):
+        if s is not None and not s.minimum.shape == s.maximum.shape == (width,):
+            raise ValueError(f"{path}: {key} must hold {width} values per array for "
+                             f"layer_dims {dims}")
     model = MlpModel(
         variant=header["variant"],
         layer_dims=dims,
-        weights=params[::2],
-        biases=params[1::2],
+        flat=np.frombuffer(body, "<f8"),  # the model keeps the buffer
         dropout_rates=header["dropout_rates"],
         meta=header.get("meta", {}),
         **stats,

@@ -23,7 +23,6 @@ __all__ = [
     "simulate_snapshots",
     "sample_covariance",
     "inject_failures",
-    "analytic_covariance",
     "stream_seed",
     "stream_rng",
 ]
@@ -128,16 +127,6 @@ def inject_failures(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     values[idx, :] = 0.0
     values[:, idx] = 0.0
     return values
-
-
-def analytic_covariance(geom: ArrayGeometry, scene: SourceScene) -> np.ndarray:
-    """Exact covariance A diag(powers) A^H + noise_power * I (no sampling)."""
-    m = geom.size
-    r = scene.noise_power * np.eye(m, dtype=np.complex128)
-    if scene.k:
-        a = steering_matrix(geom.positions, scene.angles_deg)
-        r = r + (a * np.asarray(scene.powers)) @ a.conj().T
-    return r
 
 
 def _uint64(value, what: str) -> int:

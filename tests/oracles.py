@@ -1,0 +1,60 @@
+"""Reference implementations that only the tests call: a brute-force MRA
+search for the tabulated arrays, the exact covariance of a scene, and the
+layer-major packing of per-layer parameters into one model vector."""
+
+import itertools
+
+import numpy as np
+
+from sparsedoa.geometry import ArrayGeometry
+from sparsedoa.signals import SourceScene, steering_matrix
+
+
+def mra_search(m: int, max_aperture: int) -> ArrayGeometry:
+    """Brute-force restricted-MRA search.
+
+    Returns the sensor layout with the largest aperture not exceeding
+    ``max_aperture`` whose difference coarray is hole-free over that
+    aperture; ties break to the lexicographically smallest position
+    vector. Exponential in ``m``; intended for m <= 7.
+    """
+    if m < 1:
+        raise ValueError("need at least one sensor")
+    if m == 1:
+        return ArrayGeometry((0,))
+    if max_aperture < m - 1:
+        raise ValueError(
+            f"no hole-free configuration with {m} sensors fits aperture {max_aperture}"
+        )
+    upper = min(max_aperture, m * (m - 1) // 2)
+    for aperture in range(upper, m - 2, -1):
+        for inner in itertools.combinations(range(1, aperture), m - 2):
+            positions = (0,) + inner + (aperture,)
+            if _covers_all_lags(positions, aperture):
+                return ArrayGeometry(positions)
+    raise ValueError(f"no hole-free configuration found for M={m}")  # pragma: no cover
+
+
+def _covers_all_lags(positions, aperture: int) -> bool:
+    seen = 0
+    for i, a in enumerate(positions):
+        for b in positions[i + 1 :]:
+            seen |= 1 << (b - a)
+    return seen == ((1 << (aperture + 1)) - 2)
+
+
+def analytic_covariance(geom: ArrayGeometry, scene: SourceScene) -> np.ndarray:
+    """Exact covariance A diag(powers) A^H + noise_power * I (no sampling)."""
+    m = geom.size
+    r = scene.noise_power * np.eye(m, dtype=np.complex128)
+    if scene.k:
+        a = steering_matrix(geom.positions, scene.angles_deg)
+        r = r + (a * np.asarray(scene.powers)) @ a.conj().T
+    return r
+
+
+def pack_parameters(weights, biases) -> np.ndarray:
+    """W_0, b_0, W_1, b_1, ... raveled into one float64 vector, the layout of
+    ``MlpModel.flat``."""
+    return np.concatenate([np.ravel(p) for pair in zip(weights, biases) for p in pair],
+                          dtype=np.float64)

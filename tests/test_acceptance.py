@@ -26,6 +26,8 @@ from sparsedoa.harness import (
 )
 from sparsedoa.neural import DATA_DRIVEN, HYBRID, build_model, generate_dataset
 
+import oracles
+
 
 def report(criterion, passed, detail):
     print(f"\n[criterion {criterion}] {'PASS' if passed else 'FAIL'} - {detail}")
@@ -127,7 +129,7 @@ def test_criterion_1_coarray_exactness():
 def test_criterion_2_oracle_equivalence():
     tic = time.perf_counter()
     aperture_ok = all(
-        geometry.mra_search(m, geometry.mra_lookup(m).aperture + 2).aperture
+        oracles.mra_search(m, geometry.mra_lookup(m).aperture + 2).aperture
         == geometry.mra_lookup(m).aperture
         for m in range(2, 6)
     )
@@ -207,8 +209,9 @@ def test_criterion_4_numerical_core():
         model = neural.MlpModel(
             variant=variant,
             layer_dims=list(dims),
-            weights=[rng.standard_normal((a, b)) * 0.4 for a, b in zip(dims, dims[1:])],
-            biases=[rng.standard_normal(b) * 0.1 for b in dims[1:]],
+            flat=oracles.pack_parameters(
+                [rng.standard_normal((a, b)) * 0.4 for a, b in zip(dims, dims[1:])],
+                [rng.standard_normal(b) * 0.1 for b in dims[1:]]),
             dropout_rates=list(dropout),
         )
         x = rng.standard_normal((5, dims[0]))
@@ -386,7 +389,7 @@ def test_criterion_7_crb_validity():
 
     def cov(eta):
         sc = signals.SourceScene((np.rad2deg(eta[0]),), (eta[1],), eta[2])
-        return signals.analytic_covariance(geom, sc)
+        return oracles.analytic_covariance(geom, sc)
 
     r_inv = np.linalg.inv(cov(eta0))
     h = 1e-6

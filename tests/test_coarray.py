@@ -17,12 +17,13 @@ from sparsedoa.coarray import (
 from sparsedoa.geometry import ArrayGeometry, _pair_table, difference_coarray, mra_lookup
 from sparsedoa.signals import (
     SourceScene,
-    analytic_covariance,
     inject_failures,
     scene_from_snr,
     steering_matrix,
 )
 from sparsedoa.spectral import hermitian_eig, music_spectrum, pick_peaks
+
+from oracles import analytic_covariance
 
 
 def loop_redundancy_average(r, geom):

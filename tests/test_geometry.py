@@ -9,8 +9,9 @@ from sparsedoa.geometry import (
     essential_sensors,
     is_hole_free,
     mra_lookup,
-    mra_search,
 )
+
+from oracles import mra_search
 
 
 def brute_lags(positions):
@@ -165,7 +166,7 @@ class TestMraTable:
         with pytest.raises(ValueError, match="no tabulated MRA"):
             mra_lookup(99)
 
-    @pytest.mark.parametrize("m", range(2, 13))
+    @pytest.mark.parametrize("m", range(1, 13))
     def test_tabulated_hole_free(self, m):
         geom = mra_lookup(m)
         co = difference_coarray(geom)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import numpy.testing as npt
@@ -23,7 +24,6 @@ from sparsedoa.neural import (
     DATA_DRIVEN,
     HYBRID,
     MlpModel,
-    _parameter_views,
     ScenePolicy,
     TrainingDiverged,
     adam_init,
@@ -46,13 +46,14 @@ from sparsedoa.neural import (
     train,
 )
 from sparsedoa.signals import (
-    analytic_covariance,
     inject_failures,
     sample_covariance,
     scene_from_snr,
     simulate_snapshots,
     stream_rng,
 )
+
+from oracles import analytic_covariance, pack_parameters
 
 GEOM5 = mra_lookup(5)
 ULA4 = ArrayGeometry((0, 1, 2, 3))
@@ -62,8 +63,8 @@ DESK_POLICY = ScenePolicy(n_sources=3, n_snapshots=64)
 def tiny_model(dims, dropout, rng, variant=HYBRID):
     weights = [rng.standard_normal((a, b)) * 0.4 for a, b in zip(dims, dims[1:])]
     biases = [rng.standard_normal(b) * 0.1 for b in dims[1:]]
-    return MlpModel(variant=variant, layer_dims=list(dims), weights=weights,
-                    biases=biases, dropout_rates=list(dropout))
+    return MlpModel(variant=variant, layer_dims=list(dims),
+                    flat=pack_parameters(weights, biases), dropout_rates=list(dropout))
 
 
 class TestMinMax:
@@ -75,7 +76,7 @@ class TestMinMax:
     def test_constant_column_passthrough(self):
         data = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
         stats = minmax_fit(data)
-        assert stats.constant[0] and not stats.constant[1]
+        npt.assert_array_equal(stats.maximum <= stats.minimum, [True, False])
         out = minmax_apply(data, stats)
         npt.assert_allclose(out[:, 0], 3.0)
         npt.assert_allclose(out[:, 1], np.arange(5.0) / 4.0)
@@ -151,7 +152,7 @@ class TestBackward:
 
     def test_scalar_closed_form(self):
         model = MlpModel(variant=HYBRID, layer_dims=[1, 1],
-                         weights=[np.array([[0.7]])], biases=[np.array([0.2])],
+                         flat=pack_parameters([np.array([[0.7]])], [np.array([0.2])]),
                          dropout_rates=[0.0])
         x, t = np.array([[1.3]]), np.array([[2.0]])
         out, cache = mlp_forward(model, x, train=True, rng=np.random.default_rng(0))
@@ -640,38 +641,13 @@ class TestFlatParameters:
             npt.assert_array_equal(p.reshape(-1), np.arange(start, start + p.size))
             start += p.size
 
-    def test_lists_are_packed(self):
-        rng = np.random.default_rng(2)
-        weights = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
-        biases = [rng.standard_normal(4), rng.standard_normal(2)]
-        model = MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], weights=weights,
-                         biases=biases, dropout_rates=[0.0, 0.0])
-        given = [weights[0], biases[0], weights[1], biases[1]]
-        npt.assert_array_equal(model.flat, np.concatenate([p.ravel() for p in given]))
-        for p, q in zip(model.parameters(), given):
-            assert np.shares_memory(p, model.flat) and not np.shares_memory(q, model.flat)
-            npt.assert_array_equal(p, q)
-
-    def test_shapes_must_match_layer_dims(self):
-        with pytest.raises(ValueError, match="layer_dims"):
-            MlpModel(variant=HYBRID, layer_dims=[3, 2], weights=[np.zeros((2, 3))],
-                     biases=[np.zeros(2)], dropout_rates=[0.0])
-
-    def test_views_of_one_vector_are_adopted(self):
-        # parameters that already are the layer-major views of one vector keep it:
-        # packing them again would hold every parameter twice
-        flat = np.arange(26.0)
-        views = _parameter_views(flat, [3, 4, 2])
-        model = MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], weights=views[::2],
-                         biases=views[1::2], dropout_rates=[0.0, 0.0])
-        assert model.flat is flat
-        # views of a longer or strided vector are packed
-        for other in (np.arange(27.0), np.arange(52.0)[::2]):
-            views = _parameter_views(other, [3, 4, 2])
-            model = MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], weights=views[::2],
-                             biases=views[1::2], dropout_rates=[0.0, 0.0])
-            assert not np.shares_memory(model.flat, other)
-            npt.assert_array_equal(model.flat, other[:26])
+    def test_flat_must_be_one_contiguous_float64_vector(self):
+        MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], flat=np.zeros(26), dropout_rates=[0.0, 0.0])
+        # too short, float32, strided, 2-D
+        for flat in (np.zeros(25), np.zeros(26, np.float32), np.zeros(52)[::2], np.zeros((2, 13))):
+            with pytest.raises(ValueError, match="layer_dims"):
+                MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], flat=flat,
+                         dropout_rates=[0.0, 0.0])
 
     @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
     def test_build_draws_each_layer_as_before(self, variant):
@@ -695,11 +671,11 @@ class TestFlatParameters:
 
     def test_copy_owns_its_flat(self):
         model = build_model(HYBRID, GEOM5, seed=0)
-        twin = copy.deepcopy(model)
-        assert not np.shares_memory(twin.flat, model.flat)
-        assert all(np.shares_memory(p, twin.flat) for p in twin.parameters())
-        twin.weights[1][2, 3] = 7.0
-        assert model.weights[1][2, 3] != 7.0 and 7.0 in twin.flat
+        for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert not np.shares_memory(twin.flat, model.flat)
+            assert all(np.shares_memory(p, twin.flat) for p in twin.parameters())
+            twin.weights[1][2, 3] = 7.0
+            assert model.weights[1][2, 3] != 7.0 and 7.0 in twin.flat
 
     def test_write_through_a_view_reaches_the_file(self, tmp_path):
         model = build_model(DATA_DRIVEN, GEOM5, seed=0)
@@ -792,6 +768,38 @@ class TestModelFile:
         path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
         with pytest.raises(ValueError, match="model.bin"):
             load_model(path)
+
+    @pytest.mark.parametrize("key,keep", [
+        ("input_stats", slice(1)), ("target_stats", slice(-1)),
+    ], ids=["input_stats", "target_stats"])
+    def test_rejects_stats_of_the_wrong_length(self, tmp_path, trained_pair, key, keep):
+        # a short stats array would broadcast into a wrong repair instead of failing
+        path = tmp_path / "model.bin"
+        save_model(trained_pair[HYBRID], path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header[key] = {name: values[keep] for name, values in header[key].items()}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
+
+    def test_older_file_with_constant_flags_loads(self, tmp_path, trained_pair):
+        model = trained_pair[HYBRID]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        assert "constant" not in header["input_stats"] and "constant" not in header["target_stats"]
+        for key in ("input_stats", "target_stats"):
+            stats = getattr(model, key)
+            header[key]["constant"] = (stats.maximum <= stats.minimum).astype(int).tolist()
+        assert any(header["input_stats"]["constant"])  # some flags are set, as in real files
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        y = simulate_snapshots(GEOM5, scene_from_snr((15.0, 30.0), 5.0), 64,
+                               np.random.default_rng(7))
+        r, failed = sample_covariance(y)[None], GEOM5.with_failures({1, 3})
+        assert (predict_covariance(load_model(path), r, failed).tobytes()
+                == predict_covariance(model, r, failed).tobytes())
 
     @pytest.mark.parametrize("where", ["weight", "bias", "input_stats", "target_stats"])
     def test_rejects_non_finite_values(self, tmp_path, trained_pair, where):

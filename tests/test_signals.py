@@ -7,7 +7,6 @@ import pytest
 from sparsedoa.geometry import ArrayGeometry, mra_lookup
 from sparsedoa.signals import (
     SourceScene,
-    analytic_covariance,
     draw_angles,
     inject_failures,
     sample_covariance,
@@ -17,6 +16,8 @@ from sparsedoa.signals import (
     stream_rng,
     stream_seed,
 )
+
+from oracles import analytic_covariance
 
 
 class TestSourceScene:

@@ -12,7 +12,6 @@ from sparsedoa.geometry import ArrayGeometry, difference_coarray, mra_lookup
 from sparsedoa.harness import preset, trial_snapshots
 from sparsedoa.signals import (
     SourceScene,
-    analytic_covariance,
     draw_angles,
     scene_from_snr,
     steering_matrix,
@@ -25,6 +24,8 @@ from sparsedoa.spectral import (
     music_spectrum,
     pick_peaks,
 )
+
+from oracles import analytic_covariance
 
 
 def random_hermitian(dim, rng):
