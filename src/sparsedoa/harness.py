@@ -514,8 +514,6 @@ def spectrum_csv(grid: np.ndarray, spectra: dict[str, np.ndarray]) -> str:
 
 
 def run_manifest(config: ExperimentConfig, outputs: dict[str, str]) -> str:
-    import scipy
-
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "package": "sparsedoa",
@@ -523,7 +521,6 @@ def run_manifest(config: ExperimentConfig, outputs: dict[str, str]) -> str:
         "numpy": np.__version__,
         "numpy_blas": {"name": blas["name"], "version": blas["version"]},
         "worker_blas_threads": _WORKER_BLAS_THREADS,
-        "scipy": scipy.__version__,
         "rng_algorithm": config.rng_algorithm,
         "master_seed": config.master_seed,
         "config": dataclasses.asdict(config),

@@ -127,6 +127,9 @@ class MlpModel:
                 and self.flat.shape == (count,) and self.flat.flags.c_contiguous):
             raise ValueError(f"flat must be a C-contiguous float64 vector of {count} "
                              f"parameters for layer_dims {self.layer_dims}")
+        if not (len(rates := self.dropout_rates) == self.n_layers and not any(rates[-1:])
+                and all(0 <= p < 1 for p in rates)):
+            raise ValueError(f"dropout_rates {rates} do not fit layer_dims {self.layer_dims}")
 
     @property
     def n_layers(self) -> int:
@@ -612,11 +615,11 @@ def load_dataset(path) -> TrainingDataset:
     header, body = _read_file(path, DATASET_MAGIC,
                               lambda h: 4 * h["n_samples"] * (h["d_in"] + h["d_out"]))
     n, d_in, d_out = header["n_samples"], header["d_in"], header["d_out"]
-    records = np.frombuffer(body, dtype="<f4").reshape(n, d_in + d_out).astype(np.float64)
-    if not np.isfinite(records).all():
+    records = np.frombuffer(body, dtype="<f4").reshape(n, d_in + d_out)
+    if not np.isfinite(records).all():  # upcasting keeps finiteness exactly
         raise ValueError(f"{path}: non-finite dataset rows")
     return TrainingDataset(
-        inputs=records[:, :d_in].copy(),
-        targets=records[:, d_in:].copy(),
+        inputs=records[:, :d_in].astype(np.float64),
+        targets=records[:, d_in:].astype(np.float64),
         meta=header.get("meta", {}),
     )

@@ -8,7 +8,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .coarray import khatri_rao, vectorize_covariance
 from .geometry import ArrayGeometry
@@ -81,6 +80,16 @@ def music_spectrum(r, k: int, grid_step: float = 0.05) -> MusicSpectrum:
     return MusicSpectrum(grid=grid.copy(), values=1.0 / np.maximum(denom, tiny))
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of ``x``: a run of equal values above both neighbours is
+    one peak, at its middle (left of it if even); the end samples never count."""
+    rise, fall = x[1:] > x[:-1], x[1:] < x[:-1]  # not np.diff: inf - inf is NaN
+    edges = np.flatnonzero(rise | fall)  # x[i] != x[i + 1]
+    up = rise[edges]
+    peak = up[:-1] & ~up[1:]
+    return (edges[:-1][peak] + 1 + edges[1:][peak]) // 2
+
+
 def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakResult:
     """Top-k local maxima of the pseudospectrum, returned angle-ascending.
 
@@ -90,7 +99,7 @@ def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakResult:
     if k < 1:
         raise ValueError("k must be positive")
     values = spectrum.values
-    peaks, _ = find_peaks(values)
+    peaks = _local_maxima(values)
     order = peaks[np.argsort(values[peaks])[::-1]]
     if order.size >= k:
         chosen = order[:k]

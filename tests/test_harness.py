@@ -654,6 +654,7 @@ class TestSerialization:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert data["numpy_blas"] == {"name": blas["name"], "version": blas["version"]}
         assert data["worker_blas_threads"] == 1
+        assert "scipy" not in data  # the package runs on numpy alone
 
 
 class TestTrainVariant:

@@ -783,6 +783,22 @@ class TestModelFile:
         with pytest.raises(ValueError, match=key):
             load_model(path)
 
+    @pytest.mark.parametrize("rates", [
+        [0.2], [0.2, 0.4, 0.0, 0.0, 0.9, 0.9], [0.2, 0.4, 1.5, 0.0], [0.2, 0.4, 0.0, 0.1],
+    ], ids=["too_few", "too_many", "rate_above_one", "output_rate_nonzero"])
+    def test_rejects_dropout_rates_that_do_not_fit(self, tmp_path, trained_pair, rates):
+        # each would break a train-mode forward: too few rates index past the list,
+        # and a rate of 1.5 scales kept units by 1/(1-1.5) = -2
+        path = tmp_path / "model.bin"
+        save_model(trained_pair[HYBRID], path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        assert len(header["dropout_rates"]) == 4
+        header["dropout_rates"] = rates
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="layer_dims"):
+            load_model(path)
+
     def test_older_file_with_constant_flags_loads(self, tmp_path, trained_pair):
         model = trained_pair[HYBRID]
         path = tmp_path / "model.bin"

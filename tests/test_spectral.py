@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from sparsedoa.coarray import (
     khatri_rao,
@@ -18,6 +21,7 @@ from sparsedoa.signals import (
 )
 from sparsedoa.spectral import (
     MusicSpectrum,
+    _local_maxima,
     crb,
     doa_mse,
     hermitian_eig,
@@ -117,6 +121,22 @@ class TestMusicSpectrum:
         peaks = pick_peaks(music_spectrum(r_ss, k, grid_step=0.05), k)
         assert not peaks.resolution_failure
         npt.assert_allclose(peaks.angles_deg, angles, atol=0.05)
+
+
+class TestLocalMaxima:
+    # scipy's find_peaks is the oracle. The small alphabet makes plateaus, even-length
+    # runs, runs at the array ends and runs of +-inf common.
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf]), max_size=64))
+    @example([0.0, 1.0, 1.0, 0.0])  # an even plateau peaks left of its middle
+    @example([np.inf, 0.0, np.inf, np.inf, np.inf, 0.0, np.inf])  # one peak, on an inf run
+    @example([1.0, 1.0, 0.0, 1.0, 1.0])  # plateaus at both ends are no peaks
+    def test_equals_find_peaks(self, values):
+        x = np.array(values, dtype=np.float64)
+        expected = find_peaks(x)[0]
+        got = _local_maxima(x)
+        assert got.dtype == expected.dtype
+        npt.assert_array_equal(got, expected)
 
 
 class TestPickPeaks:

@@ -1,8 +1,13 @@
 """The package surface: ``import sparsedoa`` exposes only the pipeline entry
-points, and every submodule's ``__all__`` names something that exists."""
+points, every submodule's ``__all__`` names something that exists, and the
+package imports numpy but not scipy."""
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -40,3 +45,14 @@ def test_presets_are_one_table():
         assert parser.parse_args(["sweep", "--preset", name]).preset == name
     with pytest.raises(SystemExit):
         parser.parse_args(["sweep", "--preset", "bogus"])
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI loads
+    src = str(pathlib.Path(sparsedoa.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, sparsedoa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.strip() == "[]"
