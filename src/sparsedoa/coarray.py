@@ -20,15 +20,15 @@ __all__ = [
 
 
 def vectorize_covariance(r) -> np.ndarray:
-    """vec(R): column stacking, entry (i, j) lands at position j*M + i."""
-    return np.asarray(r, dtype=np.complex128).reshape(-1, order="F")
+    """vec(R) of a matrix or of each of a stack: column stacking, (i, j) lands at j*M + i."""
+    return np.asarray(r, dtype=np.complex128).swapaxes(-1, -2).reshape(*np.shape(r)[:-2], -1)
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product: column k is a[:, k] kron b[:, k]."""
-    if a.shape[1] != b.shape[1]:
+    """Column-wise Kronecker product (of each pair of a stack): column k is a[:, k] kron b[:, k]."""
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError("Khatri-Rao factors need equal column counts")
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+    return (a[..., :, None, :] * b[..., None, :, :]).reshape(*a.shape[:-2], -1, a.shape[-1])
 
 
 def redundancy_average(r, geom: ArrayGeometry) -> np.ndarray:

@@ -262,35 +262,38 @@ def _music_inputs(config: ExperimentConfig, methods, items, models):
 
 def _run_block(config: ExperimentConfig, methods, items, models,
                with_crb: bool) -> tuple[list[TrialRecord], list[float]]:
-    """Every method's record on each (snr_db, trial) item of a block, item by item,
-    and each item's mean CRB diagonal (NaN without ``with_crb`` or without a bound).
-    A failed linear-algebra step in MUSIC or peak picking books an errored record for
-    that record alone; any other error propagates."""
+    """Every method's record on each (snr_db, trial) item of a block, and each item's mean
+    CRB diagonal (NaN without ``with_crb`` or without a bound), from one stacked MUSIC (row
+    by row if it raises) and one stacked CRB. A failed linear-algebra step in MUSIC or peak
+    picking books an errored record for that record alone; any other error propagates."""
     scenes, inputs, shares = _music_inputs(config, methods, items, models)
-    records, crb_diags = [], []
-    for i, ((snr_db, trial), scene) in enumerate(zip(items, scenes)):
+    tic = time.perf_counter()
+    stack = np.stack([inputs[method][i] for i in range(len(items)) for method in methods])
+    try:
+        spectra = music_spectrum(stack, config.k, grid_step=config.grid_step)
+    except np.linalg.LinAlgError:
+        spectra = None
+    records = []
+    for (snr_db, trial), scene in zip(items, scenes):
         truth = tuple(float(a) for a in scene.angles_deg)
         for method in methods:
-            tic = time.perf_counter()
+            row = len(records)
             estimated, resolution_failure, error = (float("nan"),) * config.k, True, None
             try:
-                peaks = pick_peaks(music_spectrum(inputs[method][i], config.k,
-                                                  grid_step=config.grid_step), config.k)
+                peaks = pick_peaks(spectra[row] if spectra is not None else music_spectrum(
+                    stack[row:row + 1], config.k, grid_step=config.grid_step)[0], config.k)
                 estimated = tuple(float(a) for a in peaks.angles_deg)
                 resolution_failure = bool(peaks.resolution_failure)
             except np.linalg.LinAlgError as exc:
                 error = f"{type(exc).__name__}: {exc}"
             records.append(TrialRecord(trial, snr_db, method, estimated, truth, resolution_failure,
-                                       time.perf_counter() - tic + shares[method], error))
-        crb_diag = float("nan")
-        if with_crb:
-            try:
-                crb_diag = float(np.mean(np.diag(crb(config.geometry(), scene,
-                                                     config.n_snapshots))))
-            except np.linalg.LinAlgError:
-                pass  # a scene with no bound stays NaN, and so does its row's mean
-        crb_diags.append(crb_diag)
-    return records, crb_diags
+                                       shares[method], error))
+    seconds = (time.perf_counter() - tic) / len(records)
+    for record in records:  # an even share of the block's MUSIC and peak time
+        record.wall_seconds += seconds
+    bounds = (crb(config.geometry(), scenes, config.n_snapshots) if with_crb
+              else np.full((len(items), 1, 1), np.nan))  # a scene with no bound is NaN
+    return records, [float(np.mean(np.diag(bound))) for bound in bounds]
 
 
 def _policy_mismatch(config: ExperimentConfig, meta: dict) -> str:
@@ -427,10 +430,9 @@ def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
     methods = methods if methods is not None else config.estimation_methods
     _check_models(config, methods, models)
     (scene,), inputs, _ = _music_inputs(config, methods, [(snr_db, trial)], models)
-    spectra = {method: music_spectrum(inputs[method][0], config.k, grid_step=config.grid_step)
-               for method in methods}
-    grid = next(iter(spectra.values())).grid if spectra else None
-    return grid, {method: s.values for method, s in spectra.items()}, scene
+    spectra = music_spectrum(np.stack([inputs[method][0] for method in methods]), config.k,
+                             grid_step=config.grid_step)
+    return spectra.grid, dict(zip(methods, spectra.values)), scene
 
 
 # ---------------------------------------------------------------------------

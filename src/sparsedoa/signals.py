@@ -79,10 +79,10 @@ def draw_angles(k: int, lo: float, hi: float, min_gap: float,
 
 def steering_matrix(positions, angles_deg) -> np.ndarray:
     """Steering matrix with entries exp(j*pi*d_i*sin(theta_k)) for sensor
-    positions d_i in units of d0 = lambda/2."""
+    positions d_i in units of d0 = lambda/2; a (B, K) stack of angle sets gives (B, M, K)."""
     pos = np.asarray(positions, dtype=np.float64)
     theta = np.deg2rad(np.atleast_1d(np.asarray(angles_deg, dtype=np.float64)))
-    return np.exp(1j * np.pi * np.outer(pos, np.sin(theta)))
+    return np.exp(1j * np.pi * (pos[:, None] * np.sin(theta)[..., None, :]))
 
 
 def simulate_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int,

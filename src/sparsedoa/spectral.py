@@ -28,10 +28,13 @@ RAD2DEG_SQ = (180.0 / np.pi) ** 2
 
 @dataclass
 class MusicSpectrum:
-    """Pseudospectrum values over a uniform angle grid (degrees)."""
+    """Pseudospectra over a uniform angle grid (degrees), one row of ``values`` each."""
 
     grid: np.ndarray
     values: np.ndarray
+
+    def __getitem__(self, i) -> MusicSpectrum:
+        return MusicSpectrum(self.grid, self.values[i])
 
 
 class PeakResult(NamedTuple):
@@ -40,44 +43,54 @@ class PeakResult(NamedTuple):
 
 
 def hermitian_eig(r):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix or of each of a stack, eigenvalues ascending.
 
-    Verifies finiteness and Hermitian symmetry (to 1e-8 relative) before
-    decomposing, so overflow or conjugation bugs upstream fail loudly.
+    Verifies finiteness and Hermitian symmetry (to 1e-8 relative, per matrix)
+    before decomposing, so overflow or conjugation bugs upstream fail loudly.
     """
     values = np.asarray(r, dtype=np.complex128)
     if not np.isfinite(values).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    scale = np.linalg.norm(values)
-    if scale > 0 and np.linalg.norm(values - values.conj().T) > 1e-8 * scale:
+    adjoint = values.conj().swapaxes(-1, -2)
+    scale = np.linalg.norm(values, axis=(-2, -1))
+    if np.any(np.linalg.norm(values - adjoint, axis=(-2, -1)) > 1e-8 * scale):
         raise ValueError("input is not Hermitian to tolerance")
-    w, v = np.linalg.eigh((values + values.conj().T) / 2.0)
-    return w, v
+    return np.linalg.eigh((values + adjoint) / 2.0)
 
 
 @lru_cache(maxsize=16)
-def _grid_and_steering(dim: int, step: float):
-    n = int(np.ceil((90.0 - (-90.0)) / step - 1e-12))
-    grid = -90.0 + step * np.arange(n)
-    return grid, steering_matrix(np.arange(dim), grid)
+def _lag_basis(dim: int, step: float):
+    """The grid over [-90, 90), the real basis [1; 2 cos(pi l sin(theta)); -2 sin(pi l
+    sin(theta))] (l = 1..dim-1) and the flat indices of the superdiagonals; read-only."""
+    grid = -90.0 + step * np.arange(int(np.ceil((90.0 - (-90.0)) / step - 1e-12)))
+    phase = np.pi * np.outer(np.arange(1, dim), np.sin(np.deg2rad(grid)))
+    basis = np.concatenate([np.ones((1, grid.size)), 2.0 * np.cos(phase), -2.0 * np.sin(phase)])
+    flat = np.concatenate([np.arange(dim - lag) * (dim + 1) + lag for lag in range(dim)])
+    grid.flags.writeable = basis.flags.writeable = flat.flags.writeable = False
+    return grid, basis, flat
 
 
 def music_spectrum(r, k: int, grid_step: float = 0.05) -> MusicSpectrum:
-    """MUSIC pseudospectrum 1 / ||E_n^H a(theta)||^2 over [-90, 90).
+    """MUSIC pseudospectra 1 / ||E_n^H a(theta)||^2 over [-90, 90) of a (B, dim, dim) stack.
 
-    The covariance lives on the contiguous virtual ULA 0..dim-1 (every
-    method hands MUSIC a spatially-smoothed matrix). The noise subspace
-    E_n spans the dim - k smallest eigenpairs.
+    The covariances live on the contiguous virtual ULA 0..dim-1 (every method hands MUSIC
+    a spatially-smoothed matrix); E_n spans the dim - k smallest eigenpairs. There
+    ||E_n^H a||^2 = a^H P a, P = E_n E_n^H, is root-MUSIC's real polynomial in the sums
+    c_l of P's l-th superdiagonals: c_0 + 2 sum_l Re(c_l exp(j pi l sin(theta))).
     """
-    dim = len(r)
+    values = np.asarray(r, dtype=np.complex128)
+    if values.ndim != 3:
+        raise ValueError(f"need a (B, dim, dim) stack of covariances, got shape {values.shape}")
+    dim = values.shape[-1]
     if not 1 <= k < dim:
         raise ValueError(f"source count {k} must satisfy 1 <= k < dim {dim}")
-    _, v = hermitian_eig(r)
-    noise = v[:, : dim - k]
-    grid, a = _grid_and_steering(dim, float(grid_step))
-    denom = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
-    tiny = np.finfo(np.float64).tiny
-    return MusicSpectrum(grid=grid.copy(), values=1.0 / np.maximum(denom, tiny))
+    noise = hermitian_eig(values)[1][..., : dim - k]
+    grid, basis, flat = _lag_basis(dim, float(grid_step))
+    p = (noise @ noise.conj().swapaxes(1, 2)).reshape(len(values), -1)
+    lags = np.add.reduceat(p[:, flat], np.cumsum([0, *range(dim, 1, -1)]), axis=1)  # c_0, c_1..
+    denom = np.concatenate([lags.real, lags.imag[:, 1:]], axis=1) @ basis
+    np.maximum(denom, np.finfo(np.float64).tiny, out=denom)
+    return MusicSpectrum(grid=grid, values=np.reciprocal(denom, out=denom))
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -126,9 +139,9 @@ def doa_mse(estimates, truths) -> float:
     return float(np.mean(err**2))
 
 
-def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray:
-    """Unconditional-model Cramer-Rao bound for the source angles: the
-    K x K bound matrix in degrees squared.
+def crb(geom: ArrayGeometry, scenes, n_snapshots: int) -> np.ndarray:
+    """Unconditional-model Cramer-Rao bound for the source angles (deg^2): the K x K
+    bound of one scene, or a stack of them for a sequence of scenes with one K.
 
     Built from the Fisher information of vec(R), whitened by
     (R^T kron R)^{-1/2} = S* kron S with S = R^{-1/2} from the M x M
@@ -141,46 +154,46 @@ def crb(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray
     are excluded. When the Schur complement or the bound is not numerically
     positive definite (so also when a diagonal entry of the bound is not
     positive), or the Schur complement's condition number exceeds 1e8 (a bound
-    with no correct digits), the scene is not identifiable and ``LinAlgError``
-    is raised.
+    with no correct digits), the scene is not identifiable: alone it raises
+    ``LinAlgError``, and in a sequence its bound is NaN.
     """
-    if scene.k < 1:
+    single = isinstance(scenes, SourceScene)
+    scenes = [scenes] if single else list(scenes)
+    k = scenes[0].k
+    if k < 1:
         raise ValueError("bound needs at least one source")
     if n_snapshots < 1:
         raise ValueError("need at least one snapshot")
     pos = np.asarray(geom.active_positions, dtype=np.float64)
-    m = pos.size
-    powers = np.asarray(scene.powers)
-    a = steering_matrix(pos, scene.angles_deg)
-    theta = np.deg2rad(np.asarray(scene.angles_deg, dtype=np.float64))
-    a_dot = 1j * np.pi * pos[:, None] * np.cos(theta)[None, :] * a
-    lam, u = hermitian_eig((a * powers) @ a.conj().T + scene.noise_power * np.eye(m))
-    if lam[-1] <= 0:
-        raise np.linalg.LinAlgError("covariance is not positive")
-    s = (u / np.sqrt(np.maximum(lam, 1e-6 * lam[-1]))) @ u.conj().T
-    a, a_dot = s @ a, s @ a_dot  # whitened: A~, Adot~
-    m_theta = (khatri_rao(a_dot.conj(), a) + khatri_rao(a.conj(), a_dot)) * powers
-    m_s = np.column_stack([khatri_rao(a.conj(), a), vectorize_covariance(s @ s)])
-
-    gram = m_s.conj().T @ m_s
+    powers = np.array([scene.powers for scene in scenes])[:, None, :]  # raises unless one K
+    angles = np.array([scene.angles_deg for scene in scenes], dtype=np.float64)
+    a = steering_matrix(pos, angles)  # (B, M, K)
+    a_dot = 1j * np.pi * pos[:, None] * np.cos(np.deg2rad(angles))[:, None, :] * a
+    noise = np.array([scene.noise_power for scene in scenes])[:, None, None]
     try:
-        coupling = m_s @ np.linalg.solve(gram, m_s.conj().T @ m_theta)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular nuisance projection (K={scene.k}, M={m}): {exc}"
-        ) from exc
-    fim_schur = m_theta.conj().T @ (m_theta - coupling)
-    fim_schur = np.real(fim_schur + fim_schur.conj().T) / 2.0
-    try:
+        lam, u = hermitian_eig((a * powers) @ a.conj().swapaxes(1, 2) + noise * np.eye(pos.size))
+        if np.any(lam[:, -1] <= 0):
+            raise np.linalg.LinAlgError("covariance is not positive")
+        s = u / np.sqrt(np.maximum(lam, 1e-6 * lam[:, -1:]))[:, None, :]
+        s = s @ u.conj().swapaxes(1, 2)
+        a, a_dot = s @ a, s @ a_dot  # whitened: A~, Adot~
+        m_theta = (khatri_rao(a_dot.conj(), a) + khatri_rao(a.conj(), a_dot)) * powers
+        m_s = np.dstack([khatri_rao(a.conj(), a), vectorize_covariance(s @ s)])
+        m_s_adjoint = m_s.conj().swapaxes(1, 2)
+        coupling = m_s @ np.linalg.solve(m_s_adjoint @ m_s, m_s_adjoint @ m_theta)
+        fim_schur = m_theta.conj().swapaxes(1, 2) @ (m_theta - coupling)
+        fim_schur = np.real(fim_schur + fim_schur.conj().swapaxes(1, 2)) / 2.0
         np.linalg.cholesky(fim_schur)  # raises unless positive definite
-        if np.linalg.cond(fim_schur) > 1e8:  # sweep scenes stay below 1e4, singular ones >1e15
+        if np.any(np.linalg.cond(fim_schur) > 1e8):  # sweep scenes stay below 1e4, singular >1e15
             raise np.linalg.LinAlgError("Schur complement too ill-conditioned")
         crb_rad = np.linalg.inv(fim_schur) / n_snapshots
-        crb_rad = (crb_rad + crb_rad.T) / 2.0
+        crb_rad = (crb_rad + crb_rad.swapaxes(-1, -2)) / 2.0
         np.linalg.cholesky(crb_rad)  # so must the bound be, after rounding
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"Fisher information for the angles is singular (K={scene.k}, M={m}); "
-            "the scene is not identifiable"
-        ) from exc
-    return crb_rad * RAD2DEG_SQ
+        if len(scenes) > 1:  # scene by scene
+            return np.concatenate([crb(geom, [scene], n_snapshots) for scene in scenes])
+        if not single:
+            return np.full((1, k, k), np.nan)
+        raise np.linalg.LinAlgError(f"Fisher information for the angles is singular (K={k}, "
+                                    f"M={pos.size}); the scene is not identifiable") from exc
+    return crb_rad[0] * RAD2DEG_SQ if single else crb_rad * RAD2DEG_SQ

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests call: a brute-force MRA
-search for the tabulated arrays, the exact covariance of a scene, and the
-layer-major packing of per-layer parameters into one model vector."""
+search for the tabulated arrays, the exact covariance of a scene, the
+layer-major packing of per-layer parameters into one model vector, and MUSIC
+evaluated by steering every grid angle."""
 
 import itertools
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from sparsedoa.geometry import ArrayGeometry
 from sparsedoa.signals import SourceScene, steering_matrix
+from sparsedoa.spectral import hermitian_eig
 
 
 def mra_search(m: int, max_aperture: int) -> ArrayGeometry:
@@ -58,3 +60,15 @@ def pack_parameters(weights, biases) -> np.ndarray:
     ``MlpModel.flat``."""
     return np.concatenate([np.ravel(p) for pair in zip(weights, biases) for p in pair],
                           dtype=np.float64)
+
+
+def grid_music_spectrum(r, k: int, grid_step: float = 0.05):
+    """The grid over [-90, 90) and MUSIC's denominators ||E_n^H a(theta)||^2 of one
+    dim x dim covariance on the virtual ULA 0..dim-1, as one complex product of the
+    noise subspace with the grid's steering matrix."""
+    dim = len(r)
+    _, v = hermitian_eig(r)
+    noise = v[:, : dim - k]
+    grid = -90.0 + grid_step * np.arange(int(np.ceil(180.0 / grid_step - 1e-12)))
+    return grid, np.sum(np.abs(noise.conj().T @ steering_matrix(np.arange(dim), grid)) ** 2,
+                        axis=0)

@@ -173,7 +173,7 @@ def test_criterion_3_resolution_beyond_m():
         y = signals.simulate_snapshots(geom, scene, 5000, rng)
         r_ss = coarray.spatial_smoothing(
             coarray.redundancy_average(signals.sample_covariance(y), geom))
-        peaks = spectral.pick_peaks(spectral.music_spectrum(r_ss, 9, grid_step=0.05), 9)
+        peaks = spectral.pick_peaks(spectral.music_spectrum(r_ss[None], 9, grid_step=0.05)[0], 9)
         err = np.max(np.abs(np.sort(peaks.angles_deg) - angles))
         worst = max(worst, err)
         successes += err <= 0.1

@@ -87,6 +87,18 @@ class TestVectorize:
             + scene.noise_power * vectorize_covariance(np.eye(4))
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_stacks_match_each_matrix(self):
+        # the stacked CRB vectorizes and Khatri-Rao-multiplies (B, M, K) stacks
+        rng = np.random.default_rng(3)
+        a, b = (rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+                for _ in range(2))
+        r = rng.standard_normal((3, 4, 4))
+        stacked_kr, stacked_vec = khatri_rao(a, b), vectorize_covariance(r)
+        assert stacked_kr.shape == (3, 16, 2) and stacked_vec.shape == (3, 16)
+        for i in range(3):
+            npt.assert_array_equal(stacked_kr[i], khatri_rao(a[i], b[i]))
+            npt.assert_array_equal(stacked_vec[i], vectorize_covariance(r[i]))
+
 
 class TestRedundancyAverage:
     def test_single_source_closed_form(self):
@@ -255,7 +267,7 @@ class TestSpatialSmoothing:
         angles = (-30.0, 5.0, 41.5)
         r = analytic_covariance(geom, scene_from_snr(angles, 0.0))
         r_ss = spatial_smoothing(redundancy_average(r, geom))
-        peaks = pick_peaks(music_spectrum(r_ss, 3, grid_step=0.05), 3)
+        peaks = pick_peaks(music_spectrum(r_ss[None], 3, grid_step=0.05)[0], 3)
         assert not peaks.resolution_failure
         npt.assert_allclose(peaks.angles_deg, angles, atol=0.05)
 

@@ -368,8 +368,10 @@ class TestBlockEngine:
                                       for variant in (HYBRID, DATA_DRIVEN))
 
     def test_linalg_error_stays_on_its_record(self, repair_models, monkeypatch):
-        # trial 37 at 0 dB is the sixth item of the second block: every MUSIC input
-        # of that trial raises, and its block neighbours are untouched
+        # trial 37 at 0 dB is the sixth item of the second block: a stacked
+        # eigendecomposition that holds any MUSIC input of that trial raises, so the
+        # block's stacked MUSIC fails, is retried row by row, and only that item's
+        # rows fail again; its block neighbours are untouched
         clean = run_sweep(self.CFG, repair_models)
         methods = self.CFG.estimation_methods
         items = [(0.0, t) for t in range(32, 40)] + [(10.0, t) for t in range(24)]
@@ -378,7 +380,7 @@ class TestBlockEngine:
         eig = spectral.hermitian_eig
 
         def failing(r):
-            if any(np.array_equal(r, c) for c in chosen):
+            if any(np.array_equal(row, c) for row in r for c in chosen):
                 raise np.linalg.LinAlgError("chosen")
             return eig(r)
 

@@ -68,6 +68,14 @@ class TestSteeringMatrix:
         a = steering_matrix(mra_lookup(5).positions, [-70.0, 3.0, 55.5])
         npt.assert_allclose(np.abs(a), 1.0)
 
+    def test_stack_of_angle_sets(self):
+        # the stacked CRB steers a block's scenes at once
+        angles = np.array([[-70.0, 3.0], [10.0, 55.5], [0.0, 89.0]])
+        a = steering_matrix(mra_lookup(5).positions, angles)
+        assert a.shape == (3, 5, 2)
+        for i in range(3):
+            npt.assert_array_equal(a[i], steering_matrix(mra_lookup(5).positions, angles[i]))
+
 
 class TestSimulateSnapshots:
     def test_shape(self):

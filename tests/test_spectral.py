@@ -12,7 +12,7 @@ from sparsedoa.coarray import (
     vectorize_covariance,
 )
 from sparsedoa.geometry import ArrayGeometry, difference_coarray, mra_lookup
-from sparsedoa.harness import preset, trial_snapshots
+from sparsedoa.harness import METHOD_FAILED, METHOD_NONE, _music_inputs, preset, trial_snapshots
 from sparsedoa.signals import (
     SourceScene,
     draw_angles,
@@ -29,7 +29,7 @@ from sparsedoa.spectral import (
     pick_peaks,
 )
 
-from oracles import analytic_covariance
+from oracles import analytic_covariance, grid_music_spectrum
 
 
 def random_hermitian(dim, rng):
@@ -60,6 +60,16 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_stack_checks_each_matrix(self):
+        # a small non-Hermitian matrix next to a large Hermitian one still fails
+        big = 1e6 * random_hermitian(4, np.random.default_rng(1))
+        small = np.triu(np.ones((4, 4)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eig(np.stack([big, small]))
+        w, v = hermitian_eig(np.stack([big, np.eye(4)]))
+        npt.assert_array_equal(w[0], hermitian_eig(big)[0])
+        npt.assert_array_equal(v[1], hermitian_eig(np.eye(4))[1])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         # one overflowed entry must not yield a finite eigendecomposition
@@ -68,7 +78,7 @@ class TestHermitianEig:
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             hermitian_eig(r)
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            music_spectrum(r, 2)
+            music_spectrum(r[None], 2)
 
 
 class TestMusicSpectrum:
@@ -76,11 +86,11 @@ class TestMusicSpectrum:
         geom = mra_lookup(5)
         r_ss = spatial_smoothing(redundancy_average(
             analytic_covariance(geom, scene_from_snr((20.0,), 0.0)), geom))
-        spec = music_spectrum(r_ss, 1, grid_step=0.1)
+        spec = music_spectrum(r_ss[None], 1, grid_step=0.1)[0]
         assert spec.grid[np.argmax(spec.values)] == pytest.approx(20.0)
 
     def test_grid_properties(self):
-        spec = music_spectrum(np.eye(4), 1, grid_step=0.5)
+        spec = music_spectrum(np.eye(4)[None], 1, grid_step=0.5)[0]
         assert spec.grid[0] == -90.0
         assert spec.grid[-1] < 90.0
         npt.assert_allclose(np.diff(spec.grid), 0.5)
@@ -91,21 +101,25 @@ class TestMusicSpectrum:
         geom = ArrayGeometry((0, 1, 2, 3))
         angles = (-40.0, -5.0, 38.0)
         r = analytic_covariance(geom, SourceScene(angles, (1.0,) * 3, 0.2))
-        spec = music_spectrum(r, 3, grid_step=0.1)
+        spec = music_spectrum(r[None], 3, grid_step=0.1)[0]
         assert np.isfinite(spec.values).all()
         peaks = pick_peaks(spec, 3)
         npt.assert_allclose(peaks.angles_deg, angles, atol=0.1)
 
     def test_source_count_bounds(self):
         with pytest.raises(ValueError):
-            music_spectrum(np.eye(4), 4)
+            music_spectrum(np.eye(4)[None], 4)
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError, match="stack"):
+            music_spectrum(np.eye(4), 1)
 
     def test_scale_invariant_peak_locations(self):
         geom = mra_lookup(5)
         r_ss = spatial_smoothing(redundancy_average(
             analytic_covariance(geom, scene_from_snr((-12.0, 31.0), 5.0)), geom))
-        s1 = music_spectrum(r_ss, 2, grid_step=0.2)
-        s2 = music_spectrum(17.0 * r_ss, 2, grid_step=0.2)
+        s1 = music_spectrum(r_ss[None], 2, grid_step=0.2)[0]
+        s2 = music_spectrum(17.0 * r_ss[None], 2, grid_step=0.2)[0]
         assert np.argmax(s1.values) == np.argmax(s2.values)
         npt.assert_array_equal(
             pick_peaks(s1, 2).angles_deg, pick_peaks(s2, 2).angles_deg
@@ -118,9 +132,38 @@ class TestMusicSpectrum:
         angles = tuple(np.linspace(-60, 60, k)) if k > 1 else (7.3,)
         r = analytic_covariance(geom, scene_from_snr(angles, 0.0))
         r_ss = spatial_smoothing(redundancy_average(r, geom))
-        peaks = pick_peaks(music_spectrum(r_ss, k, grid_step=0.05), k)
+        peaks = pick_peaks(music_spectrum(r_ss[None], k, grid_step=0.05)[0], k)
         assert not peaks.resolution_failure
         npt.assert_allclose(peaks.angles_deg, angles, atol=0.05)
+
+
+class TestLagPolynomial:
+    """The stacked lag polynomial against the grid-steering form of MUSIC, on the
+    smoothed matrices of the intact and the failed array."""
+
+    @pytest.fixture(scope="class", params=["desk", "paper"])
+    def case(self, request):
+        cfg = preset(request.param, test_snrs_db=(-10.0, 0.0, 10.0, 20.0, 30.0))
+        items = [(snr, trial) for snr in cfg.test_snrs_db for trial in range(6)]
+        _, inputs, _ = _music_inputs(cfg, (METHOD_NONE, METHOD_FAILED), items, None)
+        stack = np.concatenate([inputs[METHOD_NONE], inputs[METHOD_FAILED]])
+        return cfg, stack, music_spectrum(stack, cfg.k, grid_step=cfg.grid_step)
+
+    def test_denominators_match_grid_oracle(self, case):
+        cfg, stack, spectra = case
+        for r, values in zip(stack, spectra.values):
+            grid, denom = grid_music_spectrum(r, cfg.k, cfg.grid_step)
+            npt.assert_array_equal(spectra.grid, grid)
+            assert np.max(np.abs(1.0 / values - denom) / denom) <= 1e-9
+
+    def test_same_peaks_as_grid_oracle(self, case):
+        cfg, stack, spectra = case
+        for i, r in enumerate(stack):
+            grid, denom = grid_music_spectrum(r, cfg.k, cfg.grid_step)
+            oracle = pick_peaks(MusicSpectrum(grid, 1.0 / denom), cfg.k)
+            got = pick_peaks(spectra[i], cfg.k)
+            npt.assert_array_equal(got.angles_deg, oracle.angles_deg)
+            assert got.resolution_failure == oracle.resolution_failure
 
 
 class TestLocalMaxima:
@@ -352,6 +395,32 @@ class TestCrb:
         monkeypatch.setattr(np.linalg, "inv", lambda a: np.diag([1.0, -1e-3]))
         with pytest.raises(np.linalg.LinAlgError, match="not identifiable"):
             crb(mra_lookup(5), scene_from_snr((15.0, 40.0), 0.0), 100)
+
+    def test_stacked_scenes_book_nan_alone(self):
+        # the zero-power scene of test_zero_power_source_not_identifiable inside a
+        # stack: only its bound is NaN, and every other one is its single-scene bound
+        geom = mra_lookup(5)
+        scenes = [scene_from_snr((15.0, 40.0), 0.0),
+                  SourceScene((10.0, 30.0), (1.0, 0.0), 0.1),
+                  SourceScene((-25.0, 30.0), (1.0, 2.5), 0.4),
+                  scene_from_snr((-50.0, 62.0), -10.0),
+                  scene_from_snr((3.0, 9.0), 20.0)]
+        bounds = crb(geom, scenes, 100)
+        assert bounds.shape == (5, 2, 2)
+        assert np.isnan(bounds[1]).all()
+        with pytest.raises(np.linalg.LinAlgError, match="not identifiable"):
+            crb(geom, scenes[1], 100)
+        kept = (0, 2, 3, 4)
+        stacked = crb(geom, [scenes[i] for i in kept], 100)  # one stack, no scene-by-scene retry
+        for row, i in enumerate(kept):
+            alone = crb(geom, scenes[i], 100)
+            assert relative_gap(bounds[i], alone) <= 1e-12
+            assert relative_gap(stacked[row], alone) <= 1e-12
+
+    def test_stacked_scenes_need_one_source_count(self):
+        scenes = [scene_from_snr((15.0, 40.0), 0.0), scene_from_snr((15.0,), 0.0)]
+        with pytest.raises(ValueError):
+            crb(mra_lookup(5), scenes, 100)
 
     def test_failed_sensors_raise_bound(self):
         geom = mra_lookup(5)
