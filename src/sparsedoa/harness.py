@@ -251,11 +251,9 @@ def _music_inputs(config: ExperimentConfig, methods, items, models):
         if method in (METHOD_HYBRID, METHOD_DATA_DRIVEN):
             inputs[method] = predict_covariance(models[method], np.stack(r_full),
                                                 config.failed_geometry())
-        elif method in (METHOD_NONE, METHOD_FAILED):  # the intact or damaged smoothed matrix
+        else:  # none or failed-baseline: the intact or damaged smoothed matrix
             geom = config.geometry() if method == METHOD_NONE else config.failed_geometry()
             inputs[method] = [repair_input(HYBRID, r, geom) for r in r_full]
-        else:
-            raise ValueError(f"unknown estimation method {method!r}")
         seconds[method] = (time.perf_counter() - tic) / len(items)
     return scenes, inputs, seconds
 
@@ -305,10 +303,13 @@ def _policy_mismatch(config: ExperimentConfig, meta: dict) -> str:
 
 
 def _check_models(config: ExperimentConfig, methods, models) -> None:
-    """Every repair method among ``methods`` needs a trained model of its
-    variant, fitted on the config's geometry under its training policy
-    (``_policy_mismatch``); a missing, untrained or mismatched one fails
-    before any scene is drawn."""
+    """``methods`` must be one or more estimation methods, and every repair method
+    among them needs a trained model of its variant, fitted on the config's geometry
+    under its training policy (``_policy_mismatch``); a missing, untrained or
+    mismatched one fails before any scene is drawn."""
+    if not methods or not set(methods) <= set(_METHODS) - {METHOD_CRB}:
+        raise ValueError(f"methods {list(methods)} must be one or more estimation methods, "
+                         f"such as the config's {list(config.estimation_methods)}")
     needed = sorted(set(methods) & {METHOD_HYBRID, METHOD_DATA_DRIVEN})
     missing = [m for m in needed if m not in (models or {})]
     if missing:
@@ -342,20 +343,20 @@ _WORKER_CTX: dict = {}
 _WORKER_BLAS_THREADS = 1  # the workers already share the cores; more would oversubscribe them
 
 
-def _blas_thread_setter():
-    """numpy's OpenBLAS thread-count setter; dlsym finds it via numpy's extension module."""
+def _blas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, found by dlsym via its extension."""
     try:
-        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     except (AttributeError, OSError) as exc:
         raise RuntimeError(f"cannot set the thread count of numpy's BLAS: {exc}") from exc
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    return setter
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
-def _init_worker(config: ExperimentConfig, models, set_blas_threads) -> None:
-    set_blas_threads(_WORKER_BLAS_THREADS)
-    _WORKER_CTX["config"] = config
-    _WORKER_CTX["models"] = models
+def _init_worker(config: ExperimentConfig, models) -> None:
+    _WORKER_CTX.update(config=config, models=models)  # the BLAS thread count is inherited
 
 
 def _pool_block(items) -> tuple[list[TrialRecord], list[float]]:
@@ -379,7 +380,10 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
     The (SNR, trial) items, SNR-major, are cut into blocks of ``_BLOCK_ITEMS``
     by their indices alone; a block simulates each of its scenes once and runs
     all configured methods on them. Blocks are reduced in order, so the
-    aggregated table does not depend on the worker count.
+    aggregated table does not depend on the worker count. With ``workers > 1``
+    (numpy's scipy-openblas only), a sweep of several blocks forks at most one
+    worker per block at one BLAS thread, set by the parent: a worker's own setter
+    call would start an OpenBLAS helper thread that spins for the worker's life.
     """
     _check_models(config, config.estimation_methods, models)
     workers = config.workers if workers is None else workers
@@ -388,16 +392,22 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
     methods = config.estimation_methods
     items = [(snr_db, trial) for snr_db in config.test_snrs_db for trial in range(config.q_trials)]
     blocks = [items[i:i + _BLOCK_ITEMS] for i in range(0, len(items), _BLOCK_ITEMS)]
+    get_threads, set_threads = _blas_threads() if workers > 1 else (None, None)
+    workers = min(workers, len(blocks))  # a one-block sweep runs here, with no fork
     if workers == 1:
         outcomes = [_run_block(config, methods, block, models, config.wants_crb)
                     for block in blocks]
     else:
-        # fork: initargs (the models) are not pickled; workers keep the parent's tracing
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker, initargs=(config, models, _blas_thread_setter()),
-        ) as pool:
-            outcomes = list(pool.map(_pool_block, blocks))
+        parent_threads = get_threads()
+        set_threads(_WORKER_BLAS_THREADS)
+        try:  # fork: initargs (the models) are not pickled; workers keep the parent's tracing
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(config, models),
+            ) as pool:
+                outcomes = list(pool.map(_pool_block, blocks))
+        finally:
+            set_threads(parent_threads)
     all_records = [r for records, _ in outcomes for r in records]
     crb_diags = [c for _, diags in outcomes for c in diags]
 

@@ -2,8 +2,10 @@ import concurrent.futures
 import copy
 import ctypes
 import dataclasses
+import functools
 import json
-import multiprocessing
+import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -25,8 +27,7 @@ from sparsedoa.harness import (
     spectrum_csv,
     train_variant,
     training_policy,
-    _blas_thread_setter,
-    _init_worker,
+    _pool_block,
 )
 from sparsedoa import harness, neural, spectral
 from sparsedoa.neural import (
@@ -55,12 +56,31 @@ MINI = preset(
 )
 
 
+# MINI's 8 items make one block, which a sweep runs in-process at any worker count;
+# these 40 make two (32 + 8), so that a sweep at workers=2 forks two workers
+TWO_BLOCKS = dataclasses.replace(MINI, q_trials=20)
+
+
 def _blas_threads() -> int:
     """This process's numpy OpenBLAS thread count."""
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     get = lib.scipy_openblas_get_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
     return get()
+
+
+def _probe_block(out_dir, items):
+    """The pool's block function, which then writes the worker's numpy OpenBLAS thread
+    count and its number of OS threads (None without /proc) to ``out_dir/<pid>.json``."""
+    outcome = _pool_block(items)
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    (out_dir / f"{os.getpid()}.json").write_text(
+        json.dumps({"blas_threads": _blas_threads(), "os_threads": tasks}))
+    return outcome
+
+
+def _failing_block(items):
+    raise RuntimeError("block failed")
 
 
 class TestConfig:
@@ -269,7 +289,7 @@ class TestRunSweep:
             run_sweep(MINI, workers=workers)
 
     def test_worker_count_invariance(self):
-        seq, par = run_sweep(MINI, workers=1), run_sweep(MINI, workers=2)
+        seq, par = run_sweep(TWO_BLOCKS, workers=1), run_sweep(TWO_BLOCKS, workers=2)
         assert results_csv(seq.rows) == results_csv(par.rows)
 
         def timeless(result):
@@ -278,13 +298,45 @@ class TestRunSweep:
 
         assert timeless(seq) == timeless(par)
 
-    def test_pool_worker_runs_one_blas_thread(self):
-        ctx = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, mp_context=ctx, initializer=_init_worker,
-            initargs=(MINI, None, _blas_thread_setter()),
-        ) as pool:
-            assert pool.submit(_blas_threads).result(timeout=60) == 1
+    def test_pool_worker_runs_one_blas_thread(self, monkeypatch, tmp_path):
+        # a worker that set its own count would start an OpenBLAS helper thread,
+        # which spins beside its main thread for the worker's whole life
+        monkeypatch.setattr(harness, "_pool_block", functools.partial(_probe_block, tmp_path))
+        run_sweep(TWO_BLOCKS, workers=2)
+        seen = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+        assert seen and all(s["blas_threads"] == 1 for s in seen), seen
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count a worker's OS threads")
+        assert all(s["os_threads"] == 1 for s in seen), seen
+
+    def test_parent_blas_threads_restored_after_the_pool(self, monkeypatch):
+        # the parent runs the pool at one thread; its own count comes back, also
+        # when a block raises (MINI, one block, starts no pool at all)
+        get, set_ = harness._blas_threads()
+        before = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("numpy's OpenBLAS runs at most one thread here")
+            run_sweep(TWO_BLOCKS, workers=2)
+            assert get() == 2
+            monkeypatch.setattr(harness, "_pool_block", _failing_block)
+            with pytest.raises(RuntimeError, match="block failed"):
+                run_sweep(TWO_BLOCKS, workers=2)
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_one_block_sweep_starts_no_pool(self, monkeypatch):
+        serial = run_sweep(MINI, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block sweep started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        pooled = run_sweep(MINI, workers=2)
+        assert results_csv(pooled.rows) == results_csv(serial.rows)
+        assert _timeless(pooled) == _timeless(serial)
 
     def test_pool_leaves_parent_blas_threads(self):
         before = _blas_threads()
@@ -624,6 +676,17 @@ class TestEmitSpectrum:
         assert len(scene.angles_deg) == MINI.k
         text = spectrum_csv(grid, spectra)
         assert len(text.splitlines()) == grid.size + 1
+
+    @pytest.mark.parametrize("methods", [(), ("crb",)])
+    def test_no_estimation_method_rejected_before_a_scene(self, monkeypatch, methods):
+        # () failed in np.stack, and a crb-only tuple as an unknown estimation method
+        def no_scene(*args):
+            raise AssertionError("a scene was drawn before the method check")
+
+        monkeypatch.setattr(harness, "trial_snapshots", no_scene)
+        names = re.escape(str(list(MINI.estimation_methods)))
+        with pytest.raises(ValueError, match=f"estimation methods, such as the config's {names}"):
+            emit_spectrum(MINI, snr_db=10.0, methods=methods)
 
     def test_deterministic(self):
         g1, s1, _ = emit_spectrum(MINI, snr_db=0.0, trial=1)
