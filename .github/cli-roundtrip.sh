@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# A CLI round trip with both repair models, through `python -m sparsedoa`:
+# dataset and train on 60 rows for one epoch, an 80-item sweep (three blocks)
+# at 1 and 2 workers whose results.csv must match byte for byte (criterion 8
+# with the stacked covariance layers and the batched network forward in forked
+# workers), the spectrum of one trial, whose CSV must hold one row per grid
+# angle and a finite, positive value in every method column, then eval (one
+# record per method) and simulate.
+#
+# Usage: .github/cli-roundtrip.sh [work-dir]   (default: a new temporary directory)
+set -euo pipefail
+
+rt="${1:-$(mktemp -d)}"
+mkdir -p "$rt"
+cli() { python -m sparsedoa "$@"; }
+
+python -c "import sparsedoa as sd; print(sd.preset('desk', n_train_samples=60, epochs=1, batch_size=16, q_trials=40, test_snrs_db=(0.0, 10.0)).to_json())" > "$rt/rt.json"
+cfg=(--config "$rt/rt.json")
+models=(--hybrid-model "$rt/model_hybrid.bin" --data-driven-model "$rt/model_data-driven.bin")
+
+for v in hybrid data-driven; do
+  cli dataset "${cfg[@]}" --variant "$v" --out "$rt"
+  cli train "${cfg[@]}" --variant "$v" --dataset "$rt/dataset_$v.bin" --out "$rt"
+done
+for w in 1 2; do
+  cli sweep "${cfg[@]}" --workers "$w" --out "$rt/w$w" "${models[@]}"
+done
+cmp "$rt/w1/results.csv" "$rt/w2/results.csv"
+
+cli spectrum "${cfg[@]}" --out "$rt" "${models[@]}"
+cli eval "${cfg[@]}" --out "$rt" "${models[@]}"
+python - "$rt" <<'PY'
+import csv, math, sys
+import sparsedoa as sd
+rt = sys.argv[1]
+cfg = sd.ExperimentConfig.from_json(open(f"{rt}/rt.json").read())
+rows = list(csv.reader(open(f"{rt}/spectrum_snr-10.csv")))
+assert rows[0] == ["angle_deg", *cfg.estimation_methods], rows[0]
+assert len(rows) - 1 == round(180 / cfg.grid_step), len(rows) - 1
+bad = [r for r in rows[1:] if not all(0 < float(v) < math.inf for v in r[1:])]
+assert not bad, bad[:3]
+records = list(csv.DictReader(open(f"{rt}/records_snr0_trial0.csv")))
+assert [r["method"] for r in records] == list(cfg.estimation_methods), records
+PY
+cli simulate "${cfg[@]}" --out "$rt"
+echo "CLI round trip passed in $rt"

@@ -150,6 +150,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     models = _load_models(args)
     methods = tuple(args.methods.split(",")) if args.methods else config.estimation_methods
+    harness._check_models(config, methods, models)  # a repeat too, which run_trial cannot see
     records = [
         harness.run_trial(config, method, args.snr, args.trial, models=models)
         for method in methods

@@ -34,25 +34,20 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def redundancy_average(r, geom: ArrayGeometry) -> np.ndarray:
     """Averages covariance entries sharing the same lag into the coarray signal.
 
-    Returns z of length 2*m_v - 1, where z[i] holds the lag i - (m_v - 1)
-    and m_v is fixed by the failure-free geometry. Lag l collects R[m, n]
-    over all active ordered pairs with d_m - d_n = l; lags whose every
-    generating pair involves a failed sensor are holes, stored as exact
-    zeros.
+    Returns z of length 2*m_v - 1 (for each matrix of a (..., M, M) stack),
+    where z[i] holds the lag i - (m_v - 1) and m_v is fixed by the
+    failure-free geometry. Lag l collects R[m, n] over all active ordered
+    pairs with d_m - d_n = l; lags whose every generating pair involves a
+    failed sensor are holes, stored as exact zeros.
     """
     values = np.asarray(r, dtype=np.complex128)
-    if values.shape != (geom.size, geom.size):
-        raise ValueError(
-            f"covariance shape {values.shape} does not match geometry size {geom.size}"
-        )
+    if values.shape[-2:] != (geom.size, geom.size):
+        raise ValueError(f"covariance shape {values.shape} does not match {geom.size} sensors")
     flat, bins, counts = _lag_bins(geom)
-    picked = values.reshape(-1)[flat]
-    sums = np.zeros(counts.size, dtype=np.complex128)
-    sums.real = np.bincount(bins, picked.real, counts.size)  # adds in pair order, as a loop would
-    sums.imag = np.bincount(bins, picked.imag, counts.size)
-    available = counts > 0
-    z = np.zeros(counts.size, dtype=np.complex128)
-    z[available] = sums[available] / counts[available]
+    lead = values.shape[:-2]
+    z = np.zeros((*lead, counts.size), dtype=np.complex128)
+    np.add.at(z, (..., bins), values.reshape(*lead, -1).take(flat, axis=-1))  # in pair order
+    z /= np.maximum(counts, 1)  # a hole's exact zero stays
     return z
 
 
@@ -71,7 +66,7 @@ def _lag_bins(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def spatial_smoothing(z: np.ndarray) -> np.ndarray:
     """Rank-restoring spatial smoothing of the coarray signal z over lags
-    -(m_v-1) .. m_v-1, so m_v = (len(z) + 1) / 2.
+    -(m_v-1) .. m_v-1, so m_v = (len(z) + 1) / 2, or of each row of a stack.
 
     Averages the outer products of the m_v ascending-lag windows
     w_i = z[i : i + m_v] (window i spans lags i - (m_v-1) .. i), giving an
@@ -80,11 +75,11 @@ def spatial_smoothing(z: np.ndarray) -> np.ndarray:
     stored zeros.
     """
     z = np.asarray(z, dtype=np.complex128)
-    if z.ndim != 1 or z.size % 2 == 0:
-        raise ValueError("coarray signal must be a 1-D vector of odd length")
-    m_v = (z.size + 1) // 2
-    windows = z[_window_index(m_v)]
-    return (windows.T @ windows.conj()) / m_v
+    if z.ndim < 1 or z.shape[-1] % 2 == 0:
+        raise ValueError("coarray signal must have an odd length")
+    m_v = (z.shape[-1] + 1) // 2
+    windows = z.take(_window_index(m_v), axis=-1)
+    return (windows.mT @ windows.conj()) / m_v
 
 
 @functools.cache
@@ -96,21 +91,21 @@ def _window_index(m_v: int) -> np.ndarray:
 
 
 def flatten_features(r) -> np.ndarray:
-    """Real feature vector [Re(vec(R)); Im(vec(R))] of length 2*dim^2."""
+    """Real feature vector [Re(vec(R)); Im(vec(R))] of length 2*dim^2 (of each of a stack)."""
     vec = vectorize_covariance(r)
-    return np.concatenate([vec.real, vec.imag])
+    return np.concatenate([vec.real, vec.imag], axis=-1)
 
 
 def unflatten_features(v: np.ndarray) -> np.ndarray:
-    """Rebuilds a Hermitian dim x dim matrix from 2*dim^2 flattened features.
+    """Rebuilds a Hermitian dim x dim matrix from the last axis of ``v``, 2*dim^2 features.
 
     Inverse of flatten_features up to the Hermitian projection
     (Z + Z^H) / 2, which is exact on features of a Hermitian matrix.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    dim = int(np.sqrt(v.size // 2))
-    if v.size != 2 * dim * dim:
-        raise ValueError(f"feature length {v.size} is not 2*dim^2 for any dim")
+    v = np.asarray(v, dtype=np.float64)
+    dim = int(np.sqrt(v.shape[-1] // 2))
+    if v.shape[-1] != 2 * dim * dim:
+        raise ValueError(f"feature length {v.shape[-1]} is not 2*dim^2 for any dim")
     half = dim * dim
-    z = (v[:half] + 1j * v[half:]).reshape((dim, dim), order="F")
-    return (z + z.conj().T) / 2.0
+    z = (v[..., :half] + 1j * v[..., half:]).reshape(*v.shape[:-1], dim, dim).mT
+    return (z + z.conj().mT) / 2.0

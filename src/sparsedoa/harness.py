@@ -112,8 +112,8 @@ class ExperimentConfig:
         object.__setattr__(self, "test_snrs_db", tuple(float(s) for s in self.test_snrs_db))
         object.__setattr__(self, "test_failures", tuple(int(i) for i in self.test_failures))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.test_snrs_db:
-            raise ValueError("test SNR grid must be non-empty")
+        if not self.test_snrs_db or len(set(self.test_snrs_db)) < len(self.test_snrs_db):
+            raise ValueError(f"test SNRs {list(self.test_snrs_db)} must be non-empty and distinct")
         if self.q_trials < 1:
             raise ValueError("need at least one trial per SNR point")
         for name in ("epochs", "batch_size", "n_snapshots", "workers"):
@@ -139,8 +139,8 @@ class ExperimentConfig:
         if self.rng_algorithm != "PCG64":
             raise ValueError("only the PCG64 generator is supported")
         unknown = set(self.methods) - set(_METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
+        if unknown or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods {list(self.methods)} must be distinct names of {_METHODS}")
         if not self.estimation_methods:
             raise ValueError(f"no estimation method in {list(self.methods)}; crb adds a column")
         # built once; not fields, so to_json() and == ignore them
@@ -240,20 +240,19 @@ _BLOCK_ITEMS = 32  # (SNR, trial) items per block: one repair-network forward pe
 
 
 def _music_inputs(config: ExperimentConfig, methods, items, models):
-    """Scenes of a block of (snr_db, trial) items, each method's covariances for MUSIC
-    (one per item), and the seconds per item that forming them took. Each repair
-    network runs once over the block's stacked covariances."""
+    """Scenes of a block of (snr_db, trial) items, each method's stacked covariances for
+    MUSIC (one per item), and the seconds per item that forming them took. Each covariance
+    layer, and each repair network, runs once over the block's stack."""
     scenes, snapshots = zip(*(trial_snapshots(config, snr_db, trial) for snr_db, trial in items))
-    r_full = [sample_covariance(y) for y in snapshots]
+    r_full = sample_covariance(np.stack(snapshots))
     inputs, seconds = {}, {}
     for method in methods:
         tic = time.perf_counter()
         if method in (METHOD_HYBRID, METHOD_DATA_DRIVEN):
-            inputs[method] = predict_covariance(models[method], np.stack(r_full),
-                                                config.failed_geometry())
+            inputs[method] = predict_covariance(models[method], r_full, config.failed_geometry())
         else:  # none or failed-baseline: the intact or damaged smoothed matrix
             geom = config.geometry() if method == METHOD_NONE else config.failed_geometry()
-            inputs[method] = [repair_input(HYBRID, r, geom) for r in r_full]
+            inputs[method] = repair_input(HYBRID, r_full, geom)
         seconds[method] = (time.perf_counter() - tic) / len(items)
     return scenes, inputs, seconds
 
@@ -266,7 +265,7 @@ def _run_block(config: ExperimentConfig, methods, items, models,
     picking books an errored record for that record alone; any other error propagates."""
     scenes, inputs, shares = _music_inputs(config, methods, items, models)
     tic = time.perf_counter()
-    stack = np.stack([inputs[method][i] for i in range(len(items)) for method in methods])
+    stack = np.stack([inputs[m] for m in methods], 1).reshape(-1, *inputs[methods[0]].shape[1:])
     try:
         spectra = music_spectrum(stack, config.k, grid_step=config.grid_step)
     except np.linalg.LinAlgError:
@@ -303,13 +302,13 @@ def _policy_mismatch(config: ExperimentConfig, meta: dict) -> str:
 
 
 def _check_models(config: ExperimentConfig, methods, models) -> None:
-    """``methods`` must be one or more estimation methods, and every repair method
+    """``methods`` must be one or more distinct estimation methods, and every repair method
     among them needs a trained model of its variant, fitted on the config's geometry
     under its training policy (``_policy_mismatch``); a missing, untrained or
     mismatched one fails before any scene is drawn."""
-    if not methods or not set(methods) <= set(_METHODS) - {METHOD_CRB}:
-        raise ValueError(f"methods {list(methods)} must be one or more estimation methods, "
-                         f"such as the config's {list(config.estimation_methods)}")
+    if not 0 < len(methods) == len(set(methods) & (set(_METHODS) - {METHOD_CRB})):
+        raise ValueError(f"methods {list(methods)} must be one or more distinct estimation "
+                         f"methods, such as the config's {list(config.estimation_methods)}")
     needed = sorted(set(methods) & {METHOD_HYBRID, METHOD_DATA_DRIVEN})
     missing = [m for m in needed if m not in (models or {})]
     if missing:
@@ -440,7 +439,7 @@ def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
     methods = methods if methods is not None else config.estimation_methods
     _check_models(config, methods, models)
     (scene,), inputs, _ = _music_inputs(config, methods, [(snr_db, trial)], models)
-    spectra = music_spectrum(np.stack([inputs[method][0] for method in methods]), config.k,
+    spectra = music_spectrum(np.concatenate([inputs[method] for method in methods]), config.k,
                              grid_step=config.grid_step)
     return spectra.grid, dict(zip(methods, spectra.values)), scene
 

@@ -513,14 +513,14 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
 
 def predict_covariance(model: MlpModel, r_full: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """Predicted smoothed covariances (B, m_v, m_v) of the failed array ``geom`` from a
-    stack ``r_full`` (B, M, M) of physical covariances of every sensor. Each input row is
-    built by ``repair_input`` for the model's own variant, as its training rows were, and
-    one forward pass repairs the whole stack; a non-finite output anywhere raises."""
+    stack ``r_full`` (B, M, M) of physical covariances of every sensor. One ``repair_input``
+    call for the model's own variant builds every input row, as it built the training rows,
+    and one forward pass repairs the whole stack; a non-finite output anywhere raises."""
     if model.input_stats is None or model.target_stats is None:
         raise ValueError("model has no normalization stats; train or load it first")
     if np.ndim(r_full) != 3:
         raise ValueError(f"expected a stack of covariances (B, M, M), got shape {np.shape(r_full)}")
-    features = np.stack([flatten_features(repair_input(model.variant, r, geom)) for r in r_full])
+    features = flatten_features(repair_input(model.variant, r_full, geom))
     if features.shape[1] != model.d_in:
         raise ValueError(
             f"feature length {features.shape[1]} does not match model input {model.d_in}"
@@ -528,7 +528,7 @@ def predict_covariance(model: MlpModel, r_full: np.ndarray, geom: ArrayGeometry)
     out = mlp_forward(model, minmax_apply(features, model.input_stats))
     if not np.isfinite(out).all():
         raise FloatingPointError("repair network output is not finite")
-    return np.stack([unflatten_features(row) for row in minmax_invert(out, model.target_stats)])
+    return unflatten_features(minmax_invert(out, model.target_stats))
 
 
 # ---------------------------------------------------------------------------

@@ -110,22 +110,22 @@ def simulate_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int
 
 
 def sample_covariance(y: np.ndarray) -> np.ndarray:
-    """Sample covariance (1/N) * Y Y^H of an M x N snapshot matrix."""
+    """Sample covariance (1/N) * Y Y^H of an M x N snapshot matrix, or of each of a stack."""
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 2 or y.shape[1] < 1:
+    if y.ndim < 2 or y.shape[-1] < 1:
         raise ValueError("snapshot matrix must be M x N with N >= 1")
-    return (y @ y.conj().T) / y.shape[1]
+    return (y @ y.conj().mT) / y.shape[-1]
 
 
 def inject_failures(r: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
-    """Copy of R with the rows and columns of ``geom``'s failed sensors zeroed
-    (2*M*M1 - M1^2 entries)."""
+    """Copy of R (or of each of a stack) with the rows and columns of ``geom``'s failed
+    sensors zeroed (2*M*M1 - M1^2 entries)."""
     values = np.array(r, dtype=np.complex128)
-    if values.shape != (geom.size, geom.size):
+    if values.shape[-2:] != (geom.size, geom.size):
         raise ValueError(f"covariance shape {values.shape} does not match {geom.size} sensors")
     idx = [i - 1 for i in sorted(geom.failed)]
-    values[idx, :] = 0.0
-    values[:, idx] = 0.0
+    values[..., idx, :] = 0.0
+    values[..., :, idx] = 0.0
     return values
 
 

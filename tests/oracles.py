@@ -1,13 +1,16 @@
 """Reference implementations that only the tests call: a brute-force MRA
 search for the tabulated arrays, the exact covariance of a scene, the
-layer-major packing of per-layer parameters into one model vector, and MUSIC
-evaluated by steering every grid angle."""
+layer-major packing of per-layer parameters into one model vector, MUSIC
+evaluated by steering every grid angle, and the repair networks' prediction
+assembled row by row."""
 
 import itertools
 
 import numpy as np
 
+from sparsedoa.coarray import flatten_features, unflatten_features
 from sparsedoa.geometry import ArrayGeometry
+from sparsedoa.neural import minmax_apply, minmax_invert, mlp_forward, repair_input
 from sparsedoa.signals import SourceScene, steering_matrix
 from sparsedoa.spectral import hermitian_eig
 
@@ -72,3 +75,11 @@ def grid_music_spectrum(r, k: int, grid_step: float = 0.05):
     grid = -90.0 + grid_step * np.arange(int(np.ceil(180.0 / grid_step - 1e-12)))
     return grid, np.sum(np.abs(noise.conj().T @ steering_matrix(np.arange(dim), grid)) ** 2,
                         axis=0)
+
+
+def per_row_predict_covariance(model, r_full, geom: ArrayGeometry) -> np.ndarray:
+    """``predict_covariance`` with its features built and its outputs rebuilt one
+    row at a time around one forward pass, the form the stacked layers replaced."""
+    features = np.stack([flatten_features(repair_input(model.variant, r, geom)) for r in r_full])
+    out = mlp_forward(model, minmax_apply(features, model.input_stats))
+    return np.stack([unflatten_features(row) for row in minmax_invert(out, model.target_stats)])

@@ -85,6 +85,15 @@ class TestSpectrumCommand:
         assert header == "angle_deg,none,failed-baseline"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "eval"])
+def test_repeated_method_fails(mini_config, tmp_path, capsys, command):
+    # a repeat wrote one column (spectrum) or two identical records (eval) of one trial
+    assert main([command, "--config", str(mini_config), "--out", str(tmp_path),
+                 "--snr", "10", "--methods", "none,none"]) == 1
+    assert "distinct estimation methods" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 class TestEvalCommand:
     def test_records(self, mini_config, tmp_path, capsys):
         out_dir = tmp_path / "eval"

@@ -15,9 +15,11 @@ from sparsedoa.coarray import (
     vectorize_covariance,
 )
 from sparsedoa.geometry import ArrayGeometry, _pair_table, difference_coarray, mra_lookup
+from sparsedoa.neural import DATA_DRIVEN, HYBRID, repair_input
 from sparsedoa.signals import (
     SourceScene,
     inject_failures,
+    sample_covariance,
     scene_from_snr,
     steering_matrix,
 )
@@ -162,9 +164,15 @@ class TestRedundancyAverage:
     @settings(max_examples=200, deadline=None)
     @given(case=failed_mra_and_hermitian())
     def test_matches_loop_oracle_bit_for_bit(self, case):
-        # bincount adds each bin's entries in pair order, as the loop's running sum did
+        # np.add.at adds each bin's entries in pair order, as the loop's running sum did,
+        # on a single matrix and on every matrix of a stack
         geom, r = case
         assert redundancy_average(r, geom).tobytes() == loop_redundancy_average(r, geom).tobytes()
+        stack = np.stack([r, r.T, 1e3 * r, np.zeros_like(r)]).reshape(2, 2, *r.shape)
+        got = redundancy_average(stack, geom)
+        assert got.shape == (2, 2, _lag_bins(geom)[2].size)
+        for row, one in zip(got.reshape(4, -1), stack.reshape(4, *r.shape)):
+            assert row.tobytes() == loop_redundancy_average(one, geom).tobytes()
 
     def test_cached_tables_are_read_only(self):
         geom = mra_lookup(5).with_failures({1, 3})
@@ -247,14 +255,26 @@ class TestSpatialSmoothing:
         geom, r = case
         z = redundancy_average(r, geom)
         assert spatial_smoothing(z).tobytes() == window_view_smoothing(z).tobytes()
+        stack = np.stack([z, z.conj(), 1e-3 * z]).reshape(3, 1, z.size)
+        got = spatial_smoothing(stack)
+        assert got.shape == (3, 1, (z.size + 1) // 2, (z.size + 1) // 2)
+        for row, one in zip(got[:, 0], stack[:, 0]):
+            assert row.tobytes() == window_view_smoothing(one).tobytes()
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             spatial_smoothing(np.zeros(4, dtype=np.complex128))
 
-    def test_matrix_input_rejected(self):
+    def test_matrix_input_smoothed_row_by_row(self):
+        # a 2-D input is a stack of coarray signals, one per row
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+        got = spatial_smoothing(z)
+        assert got.shape == (4, 4, 4)
+        for row, one in zip(got, z):
+            assert row.tobytes() == spatial_smoothing(one).tobytes()
         with pytest.raises(ValueError):
-            spatial_smoothing(np.zeros((3, 3), dtype=np.complex128))
+            spatial_smoothing(np.zeros((3, 4), dtype=np.complex128))
 
     def test_ten_sensor_mra_gives_36(self):
         geom = mra_lookup(10)
@@ -300,3 +320,43 @@ class TestFeaturePacking:
     def test_khatri_rao_column_count_mismatch(self):
         with pytest.raises(ValueError):
             khatri_rao(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+STACK_GEOMETRIES = {
+    "desk": mra_lookup(5),
+    "desk-failed": mra_lookup(5).with_failures({1, 3}),
+    "paper": mra_lookup(10),
+    "paper-failed": mra_lookup(10).with_failures({1, 5}),
+}
+
+
+class TestStacksEqualItems:
+    """Every per-trial covariance layer broadcasts over leading axes: each row of a
+    stacked call holds the bytes of the single call on that row."""
+
+    @staticmethod
+    def _rows_match(layer, stack, *args):
+        got = layer(stack, *args)
+        lead = stack.shape[:2]
+        for index in np.ndindex(lead):
+            assert got[index].tobytes() == layer(stack[index], *args).tobytes(), index
+        return got
+
+    @pytest.mark.parametrize("name", STACK_GEOMETRIES)
+    def test_rows_equal_single_calls(self, name):
+        geom = STACK_GEOMETRIES[name]
+        if geom.failed:  # the failed arrays leave holes in the coarray
+            assert (_lag_bins(geom)[2] == 0).any()
+        rng = np.random.default_rng(len(name))
+        y = rng.standard_normal((2, 3, geom.size, 20)) + 1j * rng.standard_normal(
+            (2, 3, geom.size, 20))
+        r = self._rows_match(sample_covariance, y)
+        assert r.shape == (2, 3, geom.size, geom.size)
+        self._rows_match(inject_failures, r, geom)
+        z = self._rows_match(redundancy_average, r, geom)
+        r_ss = self._rows_match(spatial_smoothing, z)
+        for matrices in (r, r_ss):
+            features = self._rows_match(flatten_features, matrices)
+            assert self._rows_match(unflatten_features, features).shape == matrices.shape
+        for variant in (HYBRID, DATA_DRIVEN):
+            self._rows_match(lambda x, g: repair_input(variant, x, g), r, geom)

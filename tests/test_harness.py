@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import copy
 import ctypes
@@ -115,6 +116,18 @@ class TestConfig:
             preset("desk", methods=("nope",))
         with pytest.raises(ValueError):
             preset("desk", rng_algorithm="MT19937")
+
+    def test_repeated_method_rejected(self):
+        # it wrote two identical none rows from the same trials
+        with pytest.raises(ValueError, match="distinct names"):
+            preset("desk", methods=("none", "none", "failed-baseline", "crb"), q_trials=2,
+                   test_snrs_db=(0.0,))
+
+    @pytest.mark.parametrize("snrs", [(0.0, 0.0), (0.0, 4.0, -0.0)])  # -0.0 keys 0.0's stream
+    def test_repeated_test_snr_rejected(self, snrs):
+        # it wrote two identical rows per method from the same trials
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            preset("desk", test_snrs_db=snrs)
 
     def test_source_count_must_fit_the_intact_coarray(self):
         # desk MRA (0, 2, 5, 8, 9) has m_v = 10: K = 10 leaves MUSIC no noise
@@ -419,6 +432,29 @@ class TestBlockEngine:
         assert sorted(rows) == sorted((variant, size) for size in (32, 32, 16)
                                       for variant in (HYBRID, DATA_DRIVEN))
 
+    def test_one_call_per_covariance_stage_per_block(self, repair_models, monkeypatch):
+        # each stage takes the block's stack; it ran once per item and method before
+        calls = collections.Counter()
+
+        def counted(module, name):
+            layer = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return layer(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(harness, "sample_covariance")
+        for name in ("inject_failures", "redundancy_average", "spatial_smoothing",
+                     "flatten_features"):
+            counted(neural, name)
+        cfg = dataclasses.replace(self.CFG, q_trials=20)  # 40 items: two blocks
+        assert len(run_sweep(cfg, repair_models).records) == 40 * 4
+        # per block: none, failed-baseline and hybrid average and smooth once each;
+        # data-driven injects once; both networks flatten their inputs once
+        assert calls == {"sample_covariance": 2, "redundancy_average": 6,
+                         "spatial_smoothing": 6, "inject_failures": 2, "flatten_features": 4}
+
     def test_linalg_error_stays_on_its_record(self, repair_models, monkeypatch):
         # trial 37 at 0 dB is the sixth item of the second block: a stacked
         # eigendecomposition that holds any MUSIC input of that trial raises, so the
@@ -687,6 +723,15 @@ class TestEmitSpectrum:
         names = re.escape(str(list(MINI.estimation_methods)))
         with pytest.raises(ValueError, match=f"estimation methods, such as the config's {names}"):
             emit_spectrum(MINI, snr_db=10.0, methods=methods)
+
+    def test_repeated_method_rejected_before_a_scene(self, monkeypatch):
+        # it returned one column for the two names
+        def no_scene(*args):
+            raise AssertionError("a scene was drawn before the method check")
+
+        monkeypatch.setattr(harness, "trial_snapshots", no_scene)
+        with pytest.raises(ValueError, match="distinct estimation methods"):
+            emit_spectrum(MINI, snr_db=0.0, methods=(METHOD_NONE, METHOD_NONE))
 
     def test_deterministic(self):
         g1, s1, _ = emit_spectrum(MINI, snr_db=0.0, trial=1)

@@ -53,7 +53,7 @@ from sparsedoa.signals import (
     stream_rng,
 )
 
-from oracles import analytic_covariance, pack_parameters
+from oracles import analytic_covariance, pack_parameters, per_row_predict_covariance
 
 GEOM5 = mra_lookup(5)
 ULA4 = ArrayGeometry((0, 1, 2, 3))
@@ -621,6 +621,16 @@ class TestPredictCovariance:
             for row, one in zip(stacked, r):
                 npt.assert_allclose(row, predict_covariance(model, one[None], self.FAILED)[0],
                                     rtol=1e-12, atol=1e-12 * np.abs(row).max())
+
+    @pytest.mark.parametrize("failed", [(), (1, 3), (2,)])
+    def test_block_matches_per_row_oracle_bit_for_bit(self, trained_pair, failed):
+        # each covariance layer runs once over the block, and the bytes equal the
+        # row-by-row assembly it replaced
+        geom = GEOM5.with_failures(failed)
+        r = np.stack([self._full_covariance(seed) for seed in range(40, 72)])
+        for model in trained_pair.values():
+            assert (predict_covariance(model, r, geom).tobytes()
+                    == per_row_predict_covariance(model, r, geom).tobytes())
 
     def test_single_matrix_rejected(self, trained_pair):
         with pytest.raises(ValueError, match=r"stack of covariances \(B, M, M\)"):
