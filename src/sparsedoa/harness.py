@@ -107,6 +107,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):  # exact types: a bool or a whole float is no int here
+            kind, value = type(f.default), getattr(self, f.name)
+            if kind in (int, bool) and type(value) is not kind:
+                raise ValueError(f"{f.name}={value!r} must be of type {kind.__name__}")
         if self.positions is not None:
             object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
         object.__setattr__(self, "test_snrs_db", tuple(float(s) for s in self.test_snrs_db))
@@ -114,9 +118,9 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.test_snrs_db or len(set(self.test_snrs_db)) < len(self.test_snrs_db):
             raise ValueError(f"test SNRs {list(self.test_snrs_db)} must be non-empty and distinct")
-        if self.q_trials < 1:
-            raise ValueError("need at least one trial per SNR point")
-        for name in ("epochs", "batch_size", "n_snapshots", "workers"):
+        if len(set(self.test_failures)) < len(self.test_failures):
+            raise ValueError(f"test_failures {list(self.test_failures)} must be distinct")
+        for name in ("q_trials", "epochs", "batch_size", "n_snapshots", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}={getattr(self, name)} must be at least 1")
         if not self.grid_step > 0:

@@ -178,14 +178,11 @@ def feature_widths(geom: ArrayGeometry) -> tuple[int, int]:
 def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
     """Glorot-uniform initialized repair network for the given geometry."""
     l_dim, h_dim = feature_widths(geom)
-    if variant == HYBRID:
-        dims = [h_dim, h_dim, h_dim, h_dim, h_dim]
-        dropout = [0.2, 0.4, 0.0, 0.0]
-    elif variant == DATA_DRIVEN:
-        dims = [l_dim, l_dim, l_dim, h_dim, h_dim, h_dim]
-        dropout = [0.2, 0.2, 0.2, 0.2, 0.0]
-    else:
+    layers = {HYBRID: ([h_dim] * 5, [0.2, 0.4, 0.0, 0.0]),
+              DATA_DRIVEN: ([l_dim] * 3 + [h_dim] * 3, [0.2, 0.2, 0.2, 0.2, 0.0])}
+    if variant not in layers:
         raise ValueError(f"unknown variant {variant!r}")
+    dims, dropout = layers[variant]
     rng = stream_rng(seed, "init", variant)
     model = MlpModel(variant=variant, layer_dims=dims, flat=np.zeros(_parameter_count(dims)),
                      dropout_rates=dropout,
@@ -196,75 +193,87 @@ def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
     return model
 
 
-def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=None):
+def _train_buffers(model: MlpModel, rows: int) -> dict:
+    """Every array that a train-mode step of up to ``rows`` rows writes: layer inputs (the
+    first is the batch gather) and output, dropout draws (spent, they hold the backward
+    pass's ReLU masks), keep masks, deltas, and one gradient block for any layer."""
+    dims, hidden = model.layer_dims, model.layer_dims[1:-1]
+    return {"inputs": [np.empty((rows, d)) for d in dims],
+            "draws": [np.empty((rows, d)) for d in hidden],
+            "drop_mask": [np.empty((rows, d), bool) if p else None
+                          for d, p in zip(hidden + [0], model.dropout_rates)],
+            "delta": [np.empty((rows, d)) for d in dims[1:]],
+            "grad": np.empty(max((a + 1) * b for a, b in zip(dims, dims[1:])))}
+
+
+def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=None,
+                buffers: dict | None = None):
     """Forward pass; in train mode also returns the backprop cache.
 
     Hidden layers apply affine -> ReLU -> inverted dropout (kept units
     scaled by 1/(1-p)); the output layer is affine only. Inference mode
-    applies no dropout and is deterministic.
+    applies no dropout and is deterministic. Train mode writes into the leading
+    rows of ``buffers`` (made for this batch when None); the cache holds them.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.d_in:
         raise ValueError(f"expected batch shape (B, {model.d_in}), got {x.shape}")
     if train and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
-    cache = {"inputs": [], "drop_mask": []}
-    out = x
-    last = model.n_layers - 1
-    params = model.parameters()
-    for i, (w, b) in enumerate(zip(params[::2], params[1::2])):
-        cache["inputs"].append(out)
-        out = out @ w + b
-        if i == last:
-            cache["drop_mask"].append(None)
-            break
-        out = np.maximum(out, 0.0)  # carries NaN through, unlike a masked select
-        p = model.dropout_rates[i]
-        if train and p > 0.0:
-            keep = rng.random(out.shape) >= p
-            out = out * keep / (1.0 - p)
-            cache["drop_mask"].append(keep)
-        else:
-            cache["drop_mask"].append(None)
     if train:
-        return out, cache
-    return out
+        cache = {key: arrays if key == "grad" else [a if a is None else a[:len(x)] for a in arrays]
+                 for key, arrays in (buffers or _train_buffers(model, len(x))).items()}
+        cache["inputs"][0] = x
+    out = x
+    for i, (w, b, p) in enumerate(zip(model.weights, model.biases, model.dropout_rates)):
+        out = np.matmul(out, w, out=cache["inputs"][i + 1] if train else None)
+        out += b
+        if i < model.n_layers - 1:
+            np.maximum(out, 0.0, out=out)  # carries NaN through, unlike a masked select
+            if train and p > 0.0:
+                out *= np.greater_equal(rng.random(out=cache["draws"][i]), p,
+                                        out=cache["drop_mask"][i])
+                out /= 1.0 - p
+    return (out, cache) if train else out
 
 
 def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((output - target) ** 2))
 
 
-def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray,
-                 target: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
-    """Exact MSE gradients for all weights and biases.
+def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray, target: np.ndarray,
+                 adam: list[AdamState] | None = None) -> list[np.ndarray] | None:
+    """Exact MSE gradients, one layer's block (W_i, b_i) at a time, last layer first.
 
     The loss is the mean over batch entries and features, so the output
     gradient is 2*(output - target)/(B*D); active dropout masks from the
-    cached forward pass are respected. They are written into ``out``, laid
-    out as ``model.flat`` (a new vector when None), and returned as its views.
+    cached forward pass are respected. Without ``adam`` they fill a new vector laid out
+    as ``model.flat``, returned as its views. With one Adam state per layer, each block
+    goes through the cache's gradient buffer to ``adam_step`` once the delta below is
+    formed with the old weights, and no full-size gradient exists.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != output.shape:
         raise ValueError(f"target shape {target.shape} != output shape {output.shape}")
-    out = np.empty_like(model.flat) if out is None else out
-    if out.shape != model.flat.shape or out.dtype != model.flat.dtype:
-        raise ValueError(f"gradient buffer must be float64 of shape {model.flat.shape}")
-    grads = _parameter_views(out, model.layer_dims)
-    weights = model.weights
-    delta = 2.0 * (output - target) / output.size
+    dims, params = model.layer_dims, model.parameters()
+    grads = (_parameter_views(np.empty_like(model.flat), dims) if adam is None else
+             [g for pair in zip(dims, dims[1:]) for g in _parameter_views(cache["grad"], pair)])
+    delta = np.subtract(output, target, out=cache["delta"][-1])
+    delta *= 2.0
+    delta /= output.size
     for i in range(model.n_layers - 1, -1, -1):
-        np.matmul(cache["inputs"][i].T, delta, out=grads[2 * i])
-        np.sum(delta, axis=0, out=grads[2 * i + 1])
-        if i == 0:
-            break
-        delta = delta @ weights[i].T
-        keep = cache["drop_mask"][i - 1]
-        if keep is not None:
-            p = model.dropout_rates[i - 1]
-            delta = delta * keep / (1.0 - p)
-        delta = delta * (cache["inputs"][i] > 0)  # ReLU active and unit kept
-    return grads
+        grad_w, grad_b = grads[2 * i:2 * i + 2]
+        np.matmul(cache["inputs"][i].T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
+        if i > 0:
+            delta = np.matmul(delta, params[2 * i].T, out=cache["delta"][i - 1])
+            if (keep := cache["drop_mask"][i - 1]) is not None:
+                delta *= keep
+                delta /= 1.0 - model.dropout_rates[i - 1]
+            delta *= np.greater(cache["inputs"][i], 0.0, out=cache["draws"][i - 1])  # ReLU on, kept
+        if adam:
+            adam_step(adam[i], params[2 * i:2 * i + 2], [grad_w, grad_b])
+    return None if adam else grads
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +461,18 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     the epoch's batches, validation as a full inference-mode pass. The
     ``ScenePolicy`` fields the dataset records are copied into the model's meta.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs={epochs} must be at least 1")
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name}={value!r} must be an int of at least 1")
+    if not 0 <= lr < math.inf:  # lr=0 runs the passes and keeps the parameters
+        raise ValueError(f"lr={lr!r} must be finite and not negative")
     for key, own in (("variant", model.variant), ("geometry", model.meta.get("geometry"))):
         if dataset.meta.get(key, own) != own:  # a dataset that records neither passes
             raise ValueError(f"a dataset recorded for {key} {dataset.meta[key]} cannot "
                              f"train a model of {key} {own}")
     if dataset.inputs.shape[1] != model.d_in or dataset.targets.shape[1] != model.d_out:
-        raise ValueError(
-            f"dataset dims {dataset.inputs.shape[1]}->{dataset.targets.shape[1]} do not "
-            f"match model dims {model.d_in}->{model.d_out}"
-        )
+        raise ValueError(f"dataset dims {dataset.inputs.shape[1]}->{dataset.targets.shape[1]} "
+                         f"do not match model dims {model.d_in}->{model.d_out}")
     n_train = training_rows(dataset.n_samples, split)
     model.input_stats = minmax_fit(dataset.inputs[:n_train])
     model.target_stats = minmax_fit(dataset.targets[:n_train])
@@ -471,8 +481,10 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     x_val = minmax_apply(dataset.inputs[n_train:], model.input_stats)
     y_val = minmax_apply(dataset.targets[n_train:], model.target_stats)
 
-    state = adam_init([model.flat], lr=lr)
-    grad = np.empty_like(model.flat)  # reused by every step
+    buffers = _train_buffers(model, min(batch_size, n_train))
+    x_rows, y_rows = buffers["inputs"][0], np.empty_like(buffers["inputs"][-1])
+    params = model.parameters()
+    states = [adam_init(params[i:i + 2], lr=lr) for i in range(0, len(params), 2)]
     rng = stream_rng(seed, "train", model.variant)
     history: list[EpochStats] = []
     model.meta.update({
@@ -487,23 +499,18 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
         total = 0.0
         for start in range(0, n_train, batch_size):
             rows = order[start : start + batch_size]
-            pred, cache = mlp_forward(model, x_train[rows], train=True, rng=rng)
-            batch_target = y_train[rows]
+            # the rows are in range, and mode="raise" would gather through a copy
+            batch = np.take(x_train, rows, axis=0, out=x_rows[:rows.size], mode="clip")
+            batch_target = np.take(y_train, rows, axis=0, out=y_rows[:rows.size], mode="clip")
+            pred, cache = mlp_forward(model, batch, train=True, rng=rng, buffers=buffers)
             loss = mse_loss(pred, batch_target)
             if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite training loss at epoch {epoch}", history
-                )
+                raise TrainingDiverged(f"non-finite training loss at epoch {epoch}", history)
             total += loss * rows.size
-            mlp_backward(model, cache, pred, batch_target, out=grad)
-            adam_step(state, [model.flat], [grad])
+            mlp_backward(model, cache, pred, batch_target, adam=states)
         val = mse_loss(mlp_forward(model, x_val), y_val) if x_val.shape[0] else float("nan")
-        history.append(EpochStats(
-            epoch=epoch,
-            train_mse=total / n_train,
-            val_mse=val,
-            seconds=time.perf_counter() - tic,
-        ))
+        history.append(EpochStats(epoch=epoch, train_mse=total / n_train, val_mse=val,
+                                  seconds=time.perf_counter() - tic))
     return history
 
 

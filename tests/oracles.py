@@ -2,7 +2,8 @@
 search for the tabulated arrays, the exact covariance of a scene, the
 layer-major packing of per-layer parameters into one model vector, MUSIC
 evaluated by steering every grid angle, and the repair networks' prediction
-assembled row by row."""
+assembled row by row, and the training loop that allocated every step's arrays
+and one full gradient vector."""
 
 import itertools
 
@@ -10,8 +11,19 @@ import numpy as np
 
 from sparsedoa.coarray import flatten_features, unflatten_features
 from sparsedoa.geometry import ArrayGeometry
-from sparsedoa.neural import minmax_apply, minmax_invert, mlp_forward, repair_input
-from sparsedoa.signals import SourceScene, steering_matrix
+from sparsedoa.neural import (
+    EpochStats,
+    adam_init,
+    adam_step,
+    minmax_apply,
+    minmax_fit,
+    minmax_invert,
+    mlp_forward,
+    mse_loss,
+    repair_input,
+    training_rows,
+)
+from sparsedoa.signals import SourceScene, steering_matrix, stream_rng
 from sparsedoa.spectral import hermitian_eig
 
 
@@ -83,3 +95,75 @@ def per_row_predict_covariance(model, r_full, geom: ArrayGeometry) -> np.ndarray
     features = np.stack([flatten_features(repair_input(model.variant, r, geom)) for r in r_full])
     out = mlp_forward(model, minmax_apply(features, model.input_stats))
     return np.stack([unflatten_features(row) for row in minmax_invert(out, model.target_stats)])
+
+
+def _allocating_forward(model, x, rng):
+    """The forward pass that made a new array for every layer and mask; inference
+    mode, with no dropout, when ``rng`` is None."""
+    cache = {"inputs": [], "drop_mask": []}
+    out = x
+    params = model.parameters()
+    for i, (w, b) in enumerate(zip(params[::2], params[1::2])):
+        cache["inputs"].append(out)
+        out = out @ w + b
+        if i == model.n_layers - 1:
+            break
+        out = np.maximum(out, 0.0)
+        p = model.dropout_rates[i]
+        keep = rng.random(out.shape) >= p if rng is not None and p > 0.0 else None
+        if keep is not None:
+            out = out * keep / (1.0 - p)
+        cache["drop_mask"].append(keep)
+    return out, cache
+
+
+def _allocating_backward(model, cache, output, target, grad):
+    """The backward pass that wrote every layer's gradient into one full vector
+    ``grad`` laid out as ``model.flat``, through new arrays for every delta."""
+    views = []
+    start = 0
+    for a, b in zip(model.layer_dims, model.layer_dims[1:]):
+        views += [grad[start:start + a * b].reshape(a, b), grad[start + a * b:start + (a + 1) * b]]
+        start += (a + 1) * b
+    delta = 2.0 * (output - target) / output.size
+    for i in range(model.n_layers - 1, -1, -1):
+        np.matmul(cache["inputs"][i].T, delta, out=views[2 * i])
+        np.sum(delta, axis=0, out=views[2 * i + 1])
+        if i == 0:
+            break
+        delta = delta @ model.weights[i].T
+        keep = cache["drop_mask"][i - 1]
+        if keep is not None:
+            delta = delta * keep / (1.0 - model.dropout_rates[i - 1])
+        delta = delta * (cache["inputs"][i] > 0)
+
+
+def train_oracle(model, dataset, epochs, batch_size, split, seed, lr):
+    """``train``'s arithmetic as one allocating forward and backward pass into one
+    full gradient vector, then one Adam step over the whole of ``model.flat``.
+    Returns the loss history; ``model.flat`` is trained in place."""
+    n_train = training_rows(dataset.n_samples, split)
+    model.input_stats = minmax_fit(dataset.inputs[:n_train])
+    model.target_stats = minmax_fit(dataset.targets[:n_train])
+    x_train = minmax_apply(dataset.inputs[:n_train], model.input_stats)
+    y_train = minmax_apply(dataset.targets[:n_train], model.target_stats)
+    x_val = minmax_apply(dataset.inputs[n_train:], model.input_stats)
+    y_val = minmax_apply(dataset.targets[n_train:], model.target_stats)
+    state = adam_init([model.flat], lr=lr)
+    grad = np.empty_like(model.flat)
+    rng = stream_rng(seed, "train", model.variant)
+    history = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n_train)
+        total = 0.0
+        for start in range(0, n_train, batch_size):
+            rows = order[start:start + batch_size]
+            pred, cache = _allocating_forward(model, x_train[rows], rng)
+            total += mse_loss(pred, y_train[rows]) * rows.size
+            _allocating_backward(model, cache, pred, y_train[rows], grad)
+            adam_step(state, [model.flat], [grad])
+        val = mse_loss(_allocating_forward(model, x_val, None)[0], y_val) if len(x_val) \
+            else float("nan")
+        history.append(EpochStats(epoch=epoch, train_mse=total / n_train, val_mse=val,
+                                  seconds=0.0))
+    return history

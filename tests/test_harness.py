@@ -17,6 +17,7 @@ from sparsedoa.harness import (
     METHOD_FAILED,
     METHOD_HYBRID,
     METHOD_NONE,
+    PRESETS,
     ExperimentConfig,
     emit_spectrum,
     preset,
@@ -206,6 +207,32 @@ class TestConfig:
         # each used to build and fail only at the first step, trial or sample
         with pytest.raises(ValueError, match=match):
             preset("desk", **overrides)
+
+    @pytest.mark.parametrize("field, value, match", [
+        # each used to build: a non-empty string is truthy, a repeat failed one sensor,
+        # True counted as K=1, and the floats failed at the first trial or ran on
+        ("train_include_no_failure", "false",
+         "train_include_no_failure='false' must be of type bool"),
+        ("train_include_no_failure", 0, "train_include_no_failure=0 must be of type bool"),
+        ("test_failures", [1, 1], r"test_failures \[1, 1\] must be distinct"),
+        ("k", True, "k=True must be of type int"),
+        ("master_seed", 1.0, "master_seed=1.0 must be of type int"),
+        ("q_trials", 2.5, "q_trials=2.5 must be of type int"),
+        ("n_snapshots", 200.5, "n_snapshots=200.5 must be of type int"),
+        ("epochs", 1.5, "epochs=1.5 must be of type int"),
+        ("batch_size", 256.0, "batch_size=256.0 must be of type int"),
+        ("n_train_samples", 20000.0, "n_train_samples=20000.0 must be of type int"),
+        ("workers", 1.5, "workers=1.5 must be of type int"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, field, value, match):
+        saved = json.loads(preset("desk").to_json())
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_json(json.dumps({**saved, field: value}))
+
+    def test_every_preset_loads_from_its_json(self):
+        for name in PRESETS:
+            cfg = preset(name)
+            assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
     @pytest.mark.parametrize("overrides", [
         {"train_max_failures": 4},

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -25,6 +26,7 @@ from sparsedoa.neural import (
     HYBRID,
     MlpModel,
     ScenePolicy,
+    TrainingDataset,
     TrainingDiverged,
     adam_init,
     adam_step,
@@ -53,7 +55,7 @@ from sparsedoa.signals import (
     stream_rng,
 )
 
-from oracles import analytic_covariance, pack_parameters, per_row_predict_covariance
+from oracles import analytic_covariance, pack_parameters, per_row_predict_covariance, train_oracle
 
 GEOM5 = mra_lookup(5)
 ULA4 = ArrayGeometry((0, 1, 2, 3))
@@ -496,6 +498,42 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(model, toy_identity_dataset(dim=10), epochs=1)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        # -1 returned a zero loss and left the parameters alone; 0 and 2.5 raised bare
+        # range() and TypeError messages; a negative rate trained uphill
+        ({"batch_size": -1}, "batch_size=-1 must be an int of at least 1"),
+        ({"batch_size": 0}, "batch_size=0 must be an int of at least 1"),
+        ({"batch_size": 2.5}, "batch_size=2.5 must be an int of at least 1"),
+        ({"batch_size": True}, "batch_size=True must be an int of at least 1"),
+        ({"epochs": 1.5}, "epochs=1.5 must be an int of at least 1"),
+        ({"lr": -1e-3}, "lr=-0.001 must be finite and not negative"),
+        ({"lr": float("nan")}, "lr=nan must be finite and not negative"),
+        ({"lr": float("inf")}, "lr=inf must be finite and not negative"),
+    ])
+    def test_misuse_rejected_naming_the_argument(self, kwargs, match):
+        model = tiny_model([8, 8], [0.0], np.random.default_rng(1))
+        before = model.flat.copy()
+        with pytest.raises(ValueError, match=match):
+            train(model, toy_identity_dataset(), **{"epochs": 1, **kwargs})
+        assert model.input_stats is None
+        assert model.flat.tobytes() == before.tobytes()
+
+    # desk width, and the 7-sensor MRA (H = 648); 36 training rows in batches of 16
+    # leave a short last batch of 4
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_matches_the_allocating_oracle_bytes(self, variant, m):
+        trained, oracle = (build_model(variant, mra_lookup(m), seed=3) for _ in range(2))
+        rng = np.random.default_rng(m)
+        dataset = TrainingDataset(inputs=rng.standard_normal((45, trained.d_in)),
+                                  targets=rng.standard_normal((45, trained.d_out)), meta={})
+        history = train(trained, dataset, epochs=3, batch_size=16, seed=2)
+        expected = train_oracle(oracle, dataset, epochs=3, batch_size=16, split=0.8, seed=2,
+                                lr=1e-3)
+        assert [(h.train_mse, h.val_mse) for h in history] == \
+            [(h.train_mse, h.val_mse) for h in expected]
+        assert trained.flat.tobytes() == oracle.flat.tobytes()
+
     def test_zero_epochs_rejected(self):
         # used to return an empty history and leave a fitted but untrained model
         model = tiny_model([8, 8], [0.0], np.random.default_rng(1))
@@ -708,29 +746,36 @@ class TestFlatParameters:
         save_model(load_model(path), again)
         assert again.read_bytes() == data
 
-    @pytest.mark.parametrize("dims,dropout", [
-        ([6, 6, 6, 6, 6], [0.2, 0.4, 0.0, 0.0]),
-        ([4, 4, 4, 8, 8, 8], [0.2, 0.2, 0.2, 0.2, 0.0]),
-    ])
-    def test_backward_into_a_reused_buffer(self, dims, dropout):
-        rng = np.random.default_rng(12)
-        model = tiny_model(dims, dropout, rng)
-        buffer = np.full_like(model.flat, np.nan)
-        for step in range(2):
-            x = rng.standard_normal((5, dims[0]))
-            t = rng.standard_normal((5, dims[-1]))
-            out, cache = mlp_forward(model, x, train=True, rng=np.random.default_rng(step))
-            views = mlp_backward(model, cache, out, t, out=buffer)
-            fresh = mlp_backward(model, cache, out, t)
-            assert all(np.shares_memory(v, buffer) for v in views)
-            assert buffer.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
+    def test_training_holds_no_full_size_gradient(self):
+        # Adam's two moments are flat-sized; the gradient exists one layer's block at a
+        # time. The slack covers Adam's two scratch blocks, the row buffers and the
+        # normalized split of 20 rows. A full gradient would add another flat.nbytes.
+        model = build_model(HYBRID, GEOM5, seed=0)
+        rng = np.random.default_rng(0)
+        dataset = TrainingDataset(inputs=rng.uniform(0, 1, (20, model.d_in)),
+                                  targets=rng.uniform(0, 1, (20, model.d_out)), meta={})
+        largest_block = max(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
+        slack = 2 * ADAM_CHUNK * 8 + (1 << 19)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            train(model, dataset, epochs=2, batch_size=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * model.flat.nbytes + largest_block + slack
 
-    def test_backward_rejects_a_misfit_buffer(self):
-        model = tiny_model([3, 2], [0.0], np.random.default_rng(0))
-        out, cache = mlp_forward(model, np.ones((1, 3)), train=True,
-                                 rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="gradient buffer"):
-            mlp_backward(model, cache, out, out, out=np.empty(model.flat.size + 1))
+    def test_backward_returns_views_of_one_new_vector(self):
+        model = tiny_model([4, 4, 4, 8, 8, 8], [0.2, 0.2, 0.2, 0.2, 0.0],
+                           np.random.default_rng(12))
+        x = np.random.default_rng(1).standard_normal((5, 4))
+        out, cache = mlp_forward(model, x, train=True, rng=np.random.default_rng(0))
+        grads = mlp_backward(model, cache, out, np.zeros_like(out))
+        whole = grads[0].base
+        assert whole.shape == model.flat.shape and not np.shares_memory(whole, model.flat)
+        assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+        assert all(g.base is whole for g in grads)
 
 
 class TestModelFile:
