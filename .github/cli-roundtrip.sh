@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # A CLI round trip with both repair models, through `python -m sparsedoa`:
-# dataset and train on 60 rows for one epoch, an 80-item sweep (three blocks)
+# dataset and train on 60 rows for one epoch (the hybrid dataset is written
+# twice and must match byte for byte: its 60 rows are one full block of 32
+# samples and one short block, so rows of an unfilled block buffer would show),
+# an 80-item sweep (three blocks)
 # at 1 and 2 workers whose results.csv must match byte for byte (criterion 8
 # with the stacked covariance layers and the batched network forward in forked
 # workers), the spectrum of one trial, whose CSV must hold one row per grid
@@ -22,6 +25,8 @@ for v in hybrid data-driven; do
   cli dataset "${cfg[@]}" --variant "$v" --out "$rt"
   cli train "${cfg[@]}" --variant "$v" --dataset "$rt/dataset_$v.bin" --out "$rt"
 done
+cli dataset "${cfg[@]}" --variant hybrid --out "$rt/again"
+cmp "$rt/dataset_hybrid.bin" "$rt/again/dataset_hybrid.bin"
 for w in 1 2; do
   cli sweep "${cfg[@]}" --workers "$w" --out "$rt/w$w" "${models[@]}"
 done

@@ -37,7 +37,7 @@ class ArrayGeometry:
     failed: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        pos = tuple(int(p) for p in self.positions)
+        pos = tuple(_integer(p, "sensor position") for p in self.positions)
         if len(pos) == 0:
             raise ValueError("geometry needs at least one sensor")
         if any(b <= a for a, b in zip(pos, pos[1:])):
@@ -45,7 +45,7 @@ class ArrayGeometry:
         if pos[0] != 0:
             pos = tuple(p - pos[0] for p in pos)
         object.__setattr__(self, "positions", pos)
-        failed = frozenset(int(i) for i in self.failed)
+        failed = frozenset(_integer(i, "failed sensor index") for i in self.failed)
         if not failed <= set(range(1, len(pos) + 1)):
             raise ValueError(f"failed indices {sorted(failed)} outside 1..{len(pos)}")
         if len(failed) >= len(pos):
@@ -73,6 +73,13 @@ class ArrayGeometry:
     def with_failures(self, failed) -> "ArrayGeometry":
         """Same positions with a replaced failure set."""
         return ArrayGeometry(self.positions, frozenset(failed))
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a bool, or a float even when whole, is no position or index."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .geometry import ArrayGeometry, difference_coarray, mra_lookup
+from .geometry import ArrayGeometry, _integer, difference_coarray, mra_lookup
 from .neural import (
     DATA_DRIVEN,
     HYBRID,
@@ -112,9 +112,11 @@ class ExperimentConfig:
             if kind in (int, bool) and type(value) is not kind:
                 raise ValueError(f"{f.name}={value!r} must be of type {kind.__name__}")
         if self.positions is not None:
-            object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
+            object.__setattr__(self, "positions",
+                               tuple(_integer(p, "positions entry") for p in self.positions))
         object.__setattr__(self, "test_snrs_db", tuple(float(s) for s in self.test_snrs_db))
-        object.__setattr__(self, "test_failures", tuple(int(i) for i in self.test_failures))
+        object.__setattr__(self, "test_failures",
+                           tuple(_integer(i, "test_failures entry") for i in self.test_failures))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.test_snrs_db or len(set(self.test_snrs_db)) < len(self.test_snrs_db):
             raise ValueError(f"test SNRs {list(self.test_snrs_db)} must be non-empty and distinct")
@@ -231,13 +233,23 @@ class TrialRecord:
 
 
 def trial_snapshots(config: ExperimentConfig, snr_db: float, trial: int):
-    """Scene and M x N snapshots of one trial, drawn from the substream
-    (master, "scene", snr, trial) that every method and command shares."""
-    rng = stream_rng(config.master_seed, "scene", float(snr_db), trial)
-    angles = draw_angles(config.k, config.angle_min, config.angle_max,
-                         config.min_gap, rng)
-    scene = scene_from_snr(angles, snr_db)
-    return scene, simulate_snapshots(config.geometry(), scene, config.n_snapshots, rng)
+    """Scene and M x N snapshots of one trial: the sweep's block path with a block of one."""
+    (scene,), (y,) = _block_snapshots(config, [(snr_db, trial)])
+    return scene, y
+
+
+def _block_snapshots(config: ExperimentConfig, items):
+    """Scenes and (B, M, N) snapshots of a block of (snr_db, trial) items; item j draws its
+    angles and normals from the substream (master, "scene", snr, trial) that every method
+    and command shares, and one ``simulate_snapshots`` call mixes the block."""
+    geom, scenes = config.geometry(), []
+    draws = np.empty((len(items), 2 * (config.k + geom.size), config.n_snapshots))
+    for (snr_db, trial), out in zip(items, draws):
+        rng = stream_rng(config.master_seed, "scene", float(snr_db), trial)
+        scenes.append(scene_from_snr(draw_angles(config.k, config.angle_min, config.angle_max,
+                                                 config.min_gap, rng), snr_db))
+        rng.standard_normal(out.shape, out=out)
+    return scenes, simulate_snapshots(geom, scenes, draws)
 
 
 _BLOCK_ITEMS = 32  # (SNR, trial) items per block: one repair-network forward per model
@@ -245,10 +257,10 @@ _BLOCK_ITEMS = 32  # (SNR, trial) items per block: one repair-network forward pe
 
 def _music_inputs(config: ExperimentConfig, methods, items, models):
     """Scenes of a block of (snr_db, trial) items, each method's stacked covariances for
-    MUSIC (one per item), and the seconds per item that forming them took. Each covariance
-    layer, and each repair network, runs once over the block's stack."""
-    scenes, snapshots = zip(*(trial_snapshots(config, snr_db, trial) for snr_db, trial in items))
-    r_full = sample_covariance(np.stack(snapshots))
+    MUSIC (one per item), and the seconds per item that forming them took. The snapshot
+    mix, each covariance layer and each repair network run once over the block's stack."""
+    scenes, snapshots = _block_snapshots(config, items)
+    r_full = sample_covariance(snapshots)
     inputs, seconds = {}, {}
     for method in methods:
         tic = time.perf_counter()
@@ -389,9 +401,7 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
     call would start an OpenBLAS helper thread that spins for the worker's life.
     """
     _check_models(config, config.estimation_methods, models)
-    workers = config.workers if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"workers={workers} must be at least 1")
+    workers = (config if workers is None else dataclasses.replace(config, workers=workers)).workers
     methods = config.estimation_methods
     items = [(snr_db, trial) for snr_db in config.test_snrs_db for trial in range(config.q_trials)]
     blocks = [items[i:i + _BLOCK_ITEMS] for i in range(0, len(items), _BLOCK_ITEMS)]

@@ -48,6 +48,7 @@ __all__ = [
 HYBRID = "hybrid"
 DATA_DRIVEN = "data-driven"
 TRAIN_SPLIT = 0.8  # default share of a dataset's rows that train; the rest validate
+_BLOCK_SAMPLES = 32  # dataset samples simulated and packed per block
 
 MODEL_MAGIC = "sparsedoa-model-v1"
 DATASET_MAGIC = "sparsedoa-dataset-v1"
@@ -394,9 +395,10 @@ def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
                      n_samples: int, seed: int) -> TrainingDataset:
     """Simulates ``n_samples`` random scenes and packs feature rows.
 
-    Each sample draws angles, SNR, and a failure set, simulates snapshots
-    once, and derives the input (``repair_input``) and the target (smoothed
-    covariance of the intact array from the same snapshots).
+    Each sample draws angles, SNR, a failure set and its snapshots' normals, in that
+    order; each block of ``_BLOCK_SAMPLES`` is then mixed, and its inputs
+    (``repair_input``, row by row on each failed array) and targets (smoothed covariance
+    of the intact array from the same snapshots) are packed, once per block.
     """
     if variant not in (HYBRID, DATA_DRIVEN):
         raise ValueError(f"unknown variant {variant!r}")
@@ -407,13 +409,18 @@ def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
     inputs = np.empty((n_samples, d_in), dtype=np.float64)
     targets = np.empty((n_samples, h_dim), dtype=np.float64)
     rng = stream_rng(seed, "dataset", variant)
-    for i in range(n_samples):
-        scene = policy.draw_scene(rng)
-        failed = policy.draw_failures(geom, rng)
-        y = simulate_snapshots(geom, scene, policy.n_snapshots, rng)
-        r_full = sample_covariance(y)
-        targets[i] = flatten_features(spatial_smoothing(redundancy_average(r_full, geom)))
-        inputs[i] = flatten_features(repair_input(variant, r_full, failed))
+    draws = np.empty((_BLOCK_SAMPLES, 2 * (policy.n_sources + geom.size), policy.n_snapshots))
+    for start in range(0, n_samples, _BLOCK_SAMPLES):
+        block, scenes, failed = draws[:n_samples - start], [], []
+        for out in block:
+            scenes.append(policy.draw_scene(rng))
+            failed.append(policy.draw_failures(geom, rng))
+            rng.standard_normal(out.shape, out=out)
+        rows = slice(start, start + len(block))
+        r_full = sample_covariance(simulate_snapshots(geom, scenes, block))
+        targets[rows] = flatten_features(spatial_smoothing(redundancy_average(r_full, geom)))
+        inputs[rows] = flatten_features(np.stack([repair_input(variant, r, f)
+                                                  for r, f in zip(r_full, failed)]))
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError("dataset contains non-finite features")
     meta = {"variant": variant, "geometry": list(geom.positions), "seed": seed,

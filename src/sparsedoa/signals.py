@@ -85,28 +85,21 @@ def steering_matrix(positions, angles_deg) -> np.ndarray:
     return np.exp(1j * np.pi * (pos[:, None] * np.sin(theta)[..., None, :]))
 
 
-def simulate_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Draws an M x N snapshot matrix from the unconditional signal model.
-
-    Source waveforms are drawn first, then noise, so the realization is
-    reproducible for a given Generator state. Failed sensors still produce
-    rows; failure handling lives in the covariance domain.
+def simulate_snapshots(geom: ArrayGeometry, scenes, draws: np.ndarray) -> np.ndarray:
+    """Mixes a (B, 2(K+M), N) block of standard-normal draws into the (B, M, N) snapshots
+    of B scenes with K sources each: row j is item j's ``rng.standard_normal((2*(K+M), N))``,
+    whose rows are its source real and imaginary parts, then its noise's. Failed sensors
+    still produce rows; failure handling lives in the covariance domain.
     """
-    if n_snapshots < 1:
-        raise ValueError("need at least one snapshot")
-    m = geom.size
-    a = steering_matrix(geom.positions, scene.angles_deg)
-    amp = np.sqrt(np.asarray(scene.powers) / 2.0)
-    x = amp[:, None] * (
-        rng.standard_normal((scene.k, n_snapshots))
-        + 1j * rng.standard_normal((scene.k, n_snapshots))
-    )
-    noise = np.sqrt(scene.noise_power / 2.0) * (
-        rng.standard_normal((m, n_snapshots))
-        + 1j * rng.standard_normal((m, n_snapshots))
-    )
-    return a @ x + noise
+    k, m = scenes[0].k, geom.size
+    if draws.ndim != 3 or draws.shape[:2] != (len(scenes), 2 * (k + m)) or draws.shape[2] < 1:
+        raise ValueError(f"draws of shape {draws.shape} do not fit {len(scenes)} scenes of "
+                         f"{k} sources on {m} sensors with at least one snapshot")
+    amp = np.sqrt(np.array([s.powers for s in scenes]) / 2.0)[..., None]
+    noise_amp = np.sqrt(np.array([s.noise_power for s in scenes]) / 2.0)[:, None, None]
+    x = amp * (draws[:, :k] + 1j * draws[:, k:2 * k])
+    noise = noise_amp * (draws[:, 2 * k:2 * k + m] + 1j * draws[:, 2 * k + m:])
+    return steering_matrix(geom.positions, [s.angles_deg for s in scenes]) @ x + noise
 
 
 def sample_covariance(y: np.ndarray) -> np.ndarray:

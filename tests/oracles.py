@@ -2,19 +2,30 @@
 search for the tabulated arrays, the exact covariance of a scene, the
 layer-major packing of per-layer parameters into one model vector, MUSIC
 evaluated by steering every grid angle, and the repair networks' prediction
-assembled row by row, and the training loop that allocated every step's arrays
-and one full gradient vector."""
+assembled row by row, the training loop that allocated every step's arrays
+and one full gradient vector, and snapshot simulation and dataset generation
+one item at a time. ``item_draws`` makes one item's block of draws for
+``simulate_snapshots``."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 
-from sparsedoa.coarray import flatten_features, unflatten_features
+from sparsedoa.coarray import (
+    flatten_features,
+    redundancy_average,
+    spatial_smoothing,
+    unflatten_features,
+)
 from sparsedoa.geometry import ArrayGeometry
 from sparsedoa.neural import (
+    HYBRID,
     EpochStats,
+    TrainingDataset,
     adam_init,
     adam_step,
+    feature_widths,
     minmax_apply,
     minmax_fit,
     minmax_invert,
@@ -23,7 +34,7 @@ from sparsedoa.neural import (
     repair_input,
     training_rows,
 )
-from sparsedoa.signals import SourceScene, steering_matrix, stream_rng
+from sparsedoa.signals import SourceScene, sample_covariance, steering_matrix, stream_rng
 from sparsedoa.spectral import hermitian_eig
 
 
@@ -167,3 +178,48 @@ def train_oracle(model, dataset, epochs, batch_size, split, seed, lr):
         history.append(EpochStats(epoch=epoch, train_mse=total / n_train, val_mse=val,
                                   seconds=0.0))
     return history
+
+
+def item_draws(rng, geom: ArrayGeometry, scene: SourceScene, n_snapshots: int) -> np.ndarray:
+    """One item's standard-normal draws as a block of one, shaped (1, 2(K+M), N) for
+    ``simulate_snapshots``: the same stream as ``per_item_snapshots``' four draws."""
+    return rng.standard_normal((1, 2 * (scene.k + geom.size), n_snapshots))
+
+
+def per_item_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int,
+                       rng) -> np.ndarray:
+    """M x N snapshots of one scene from four draws of its own, source waveforms
+    (real, then imaginary parts) before noise: the form the block mix replaced."""
+    if n_snapshots < 1:
+        raise ValueError("need at least one snapshot")
+    m = geom.size
+    a = steering_matrix(geom.positions, scene.angles_deg)
+    amp = np.sqrt(np.asarray(scene.powers) / 2.0)
+    x = amp[:, None] * (
+        rng.standard_normal((scene.k, n_snapshots))
+        + 1j * rng.standard_normal((scene.k, n_snapshots))
+    )
+    noise = np.sqrt(scene.noise_power / 2.0) * (
+        rng.standard_normal((m, n_snapshots))
+        + 1j * rng.standard_normal((m, n_snapshots))
+    )
+    return a @ x + noise
+
+
+def per_sample_dataset(variant: str, geom: ArrayGeometry, policy, n_samples: int,
+                       seed: int) -> TrainingDataset:
+    """``generate_dataset`` as one scene, failure set, simulation and feature row at
+    a time, the loop that the block form replaced."""
+    l_dim, h_dim = feature_widths(geom)
+    inputs = np.empty((n_samples, h_dim if variant == HYBRID else l_dim))
+    targets = np.empty((n_samples, h_dim))
+    rng = stream_rng(seed, "dataset", variant)
+    for i in range(n_samples):
+        scene = policy.draw_scene(rng)
+        failed = policy.draw_failures(geom, rng)
+        r_full = sample_covariance(per_item_snapshots(geom, scene, policy.n_snapshots, rng))
+        targets[i] = flatten_features(spatial_smoothing(redundancy_average(r_full, geom)))
+        inputs[i] = flatten_features(repair_input(variant, r_full, failed))
+    meta = {"variant": variant, "geometry": list(geom.positions), "seed": seed,
+            **dataclasses.asdict(policy)}
+    return TrainingDataset(inputs=inputs, targets=targets, meta=meta)

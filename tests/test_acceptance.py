@@ -170,7 +170,7 @@ def test_criterion_3_resolution_beyond_m():
     worst = 0.0
     for trial in range(100):
         rng = signals.stream_rng(20230, "resolution", trial)
-        y = signals.simulate_snapshots(geom, scene, 5000, rng)
+        y = signals.simulate_snapshots(geom, [scene], oracles.item_draws(rng, geom, scene, 5000))[0]
         r_ss = coarray.spatial_smoothing(
             coarray.redundancy_average(signals.sample_covariance(y), geom))
         peaks = spectral.pick_peaks(spectral.music_spectrum(r_ss[None], 9, grid_step=0.05)[0], 9)
@@ -314,8 +314,10 @@ def test_criterion_5c_zero_failure_prediction_floor(desk_config, desk_datasets,
         rng = signals.stream_rng(desk_config.master_seed, "passthrough", trial)
         angles = signals.draw_angles(desk_config.k, desk_config.angle_min,
                                      desk_config.angle_max, desk_config.min_gap, rng)
-        y = signals.simulate_snapshots(geom, signals.scene_from_snr(tuple(angles), 5.0),
-                                       desk_config.n_snapshots, rng)
+        scene = signals.scene_from_snr(tuple(angles), 5.0)
+        y = signals.simulate_snapshots(geom, [scene],
+                                       oracles.item_draws(rng, geom, scene,
+                                                          desk_config.n_snapshots))[0]
         r = signals.sample_covariance(y)
         r_ss = coarray.spatial_smoothing(coarray.redundancy_average(r, geom))
         pred = neural.predict_covariance(model, r[None], geom)[0]

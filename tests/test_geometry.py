@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,26 @@ class TestArrayGeometry:
     def test_all_failed_rejected(self):
         with pytest.raises(ValueError):
             ArrayGeometry((0, 1), frozenset({1, 2}))
+
+    @pytest.mark.parametrize("build, match", [
+        # int() truncated each: positions (0, 1, 3, 7, 9), and sensor 1 failed
+        (lambda: ArrayGeometry((0, 1.5, 3.2, 7, 9.9)), "sensor position 1.5 is not an integer"),
+        (lambda: ArrayGeometry((0, 1.0, 3)), "sensor position 1.0 is not an integer"),
+        (lambda: ArrayGeometry((0, True, 3)), "sensor position True is not an integer"),
+        (lambda: ArrayGeometry((0, 1, 3)).with_failures([1.9]),
+         "failed sensor index 1.9 is not an integer"),
+        (lambda: ArrayGeometry((0, 1, 3)).with_failures([np.True_]),
+         "failed sensor index np.True_ is not an integer"),
+    ])
+    def test_non_integral_entry_rejected(self, build, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        # draw_failures passes the arrays rng.choice returns
+        geom = ArrayGeometry(np.array([0, 1, 3], dtype=np.int32)).with_failures(np.array([2]))
+        assert geom == ArrayGeometry((0, 1, 3), frozenset({2}))
+        assert all(type(v) is int for v in geom.positions + tuple(geom.failed))
 
     def test_active_positions(self):
         geom = ArrayGeometry((0, 1, 4, 6), frozenset({1}))

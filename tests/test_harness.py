@@ -229,6 +229,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_json(json.dumps({**saved, field: value}))
 
+    @pytest.mark.parametrize("overrides, match", [
+        # int() truncated each: failures (1, 3) and the array (0, 1, 3, 7, 9)
+        ({"test_failures": (1.7, 3)}, "test_failures entry 1.7 is not an integer"),
+        ({"test_failures": (1.0, 3)}, "test_failures entry 1.0 is not an integer"),
+        ({"test_failures": (True, 3)}, "test_failures entry True is not an integer"),
+        ({"positions": (0, 1.5, 3.2, 7, 9.9)}, "positions entry 1.5 is not an integer"),
+        ({"positions": (0, True, 3)}, "positions entry True is not an integer"),
+    ])
+    def test_non_integral_position_or_failure_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            preset("desk", **overrides)
+        saved = json.loads(preset("desk").to_json())
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_json(json.dumps({**saved, **overrides}))
+
+    def test_numpy_integer_positions_and_failures_accepted(self):
+        cfg = preset("desk", positions=np.array([0, 2, 5, 8, 9]),
+                     test_failures=np.array([1, 3]))
+        assert cfg == preset("desk", positions=(0, 2, 5, 8, 9), test_failures=(1, 3))
+        assert all(type(v) is int for v in cfg.positions + cfg.test_failures)
+
     def test_every_preset_loads_from_its_json(self):
         for name in PRESETS:
             cfg = preset(name)
@@ -326,6 +347,22 @@ class TestRunSweep:
     def test_worker_argument_below_one_rejected(self, workers):
         # config.workers=0 is rejected at build; the argument used to run serially
         with pytest.raises(ValueError, match=f"workers={workers} must be at least 1"):
+            run_sweep(MINI, workers=workers)
+
+    @pytest.mark.parametrize("workers, match", [
+        (2.5, "workers=2.5 must be of type int"),
+        ("2", "workers='2' must be of type int"),
+        (True, "workers=True must be of type int"),
+    ])
+    def test_worker_argument_of_the_wrong_type_rejected_before_a_scene(self, monkeypatch,
+                                                                       workers, match):
+        # "2" raised a bare TypeError, as 2.5 did on a sweep of several blocks (on one
+        # it ran serially), and True ran serially as 1
+        def no_scene(*args):
+            raise AssertionError("a scene was drawn before the workers check")
+
+        monkeypatch.setattr(harness, "_block_snapshots", no_scene)
+        with pytest.raises(ValueError, match=match):
             run_sweep(MINI, workers=workers)
 
     def test_worker_count_invariance(self):
@@ -615,7 +652,7 @@ class TestEntryPointModelChecks:
         def no_scene(*args):
             raise AssertionError("a scene was drawn before the model check")
 
-        monkeypatch.setattr(harness, "trial_snapshots", no_scene)
+        monkeypatch.setattr(harness, "_block_snapshots", no_scene)
         models = {METHOD_DATA_DRIVEN: dd_model}
         calls = (lambda: run_sweep(cfg, models),
                  lambda: run_trial(cfg, METHOD_DATA_DRIVEN, 10.0, 0, models=models),
@@ -746,7 +783,7 @@ class TestEmitSpectrum:
         def no_scene(*args):
             raise AssertionError("a scene was drawn before the method check")
 
-        monkeypatch.setattr(harness, "trial_snapshots", no_scene)
+        monkeypatch.setattr(harness, "_block_snapshots", no_scene)
         names = re.escape(str(list(MINI.estimation_methods)))
         with pytest.raises(ValueError, match=f"estimation methods, such as the config's {names}"):
             emit_spectrum(MINI, snr_db=10.0, methods=methods)
@@ -756,7 +793,7 @@ class TestEmitSpectrum:
         def no_scene(*args):
             raise AssertionError("a scene was drawn before the method check")
 
-        monkeypatch.setattr(harness, "trial_snapshots", no_scene)
+        monkeypatch.setattr(harness, "_block_snapshots", no_scene)
         with pytest.raises(ValueError, match="distinct estimation methods"):
             emit_spectrum(MINI, snr_db=0.0, methods=(METHOD_NONE, METHOD_NONE))
 

@@ -55,7 +55,14 @@ from sparsedoa.signals import (
     stream_rng,
 )
 
-from oracles import analytic_covariance, pack_parameters, per_row_predict_covariance, train_oracle
+from oracles import (
+    analytic_covariance,
+    item_draws,
+    pack_parameters,
+    per_row_predict_covariance,
+    per_sample_dataset,
+    train_oracle,
+)
 
 GEOM5 = mra_lookup(5)
 ULA4 = ArrayGeometry((0, 1, 2, 3))
@@ -316,6 +323,20 @@ class TestGenerateDataset:
         npt.assert_array_equal(a.targets, b.targets)
         assert a.fingerprint() == b.fingerprint()
 
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    @pytest.mark.parametrize("include_no_failure", [False, True])
+    @pytest.mark.parametrize("n_samples", [1, 32, 69])  # part of a block, one, and 2 + part
+    @pytest.mark.parametrize("geom, n_sources", [(GEOM5, 3), (mra_lookup(7), 6)])
+    def test_blocks_match_per_sample_oracle(self, variant, include_no_failure, n_samples,
+                                            geom, n_sources):
+        # the desk preset's array and policy, and the 7-sensor MRA
+        policy = ScenePolicy(n_sources=n_sources, include_no_failure=include_no_failure)
+        ds = generate_dataset(variant, geom, policy, n_samples, seed=11)
+        expected = per_sample_dataset(variant, geom, policy, n_samples, seed=11)
+        assert ds.inputs.tobytes() == expected.inputs.tobytes()
+        assert ds.targets.tobytes() == expected.targets.tobytes()
+        assert ds.meta == expected.meta and ds.fingerprint() == expected.fingerprint()
+
     def test_rejects_failed_geometry(self):
         with pytest.raises(ValueError):
             generate_dataset(HYBRID, GEOM5.with_failures({1}), DESK_POLICY, 2, seed=0)
@@ -373,7 +394,8 @@ class TestGenerateDataset:
         rng = stream_rng(6, "dataset", variant)
         scene = DESK_POLICY.draw_scene(rng)
         failed = DESK_POLICY.draw_failures(GEOM5, rng)
-        r = sample_covariance(simulate_snapshots(GEOM5, scene, DESK_POLICY.n_snapshots, rng))
+        r = sample_covariance(simulate_snapshots(
+            GEOM5, [scene], item_draws(rng, GEOM5, scene, DESK_POLICY.n_snapshots))[0])
         npt.assert_array_equal(ds.inputs[0],
                                flatten_features(repair_input(variant, r, failed)))
 
@@ -600,7 +622,8 @@ class TestPredictCovariance:
 
     def _full_covariance(self, seed=31):
         scene = scene_from_snr((15.0, 30.0, 52.0), 5.0)
-        return sample_covariance(simulate_snapshots(GEOM5, scene, 64, np.random.default_rng(seed)))
+        return sample_covariance(simulate_snapshots(
+            GEOM5, [scene], item_draws(np.random.default_rng(seed), GEOM5, scene, 64))[0])
 
     def test_output_hermitian_and_sized(self, trained_pair):
         r = self._full_covariance()
@@ -612,8 +635,9 @@ class TestPredictCovariance:
     def test_each_variant_builds_its_own_input(self, ula_pair):
         # the feature width alone cannot tell the two damaged inputs apart here
         assert feature_widths(ULA4) == (32, 32)
+        scene = scene_from_snr((-20.0, 35.0), 5.0)
         r = sample_covariance(simulate_snapshots(
-            ULA4, scene_from_snr((-20.0, 35.0), 5.0), 32, np.random.default_rng(4)))
+            ULA4, [scene], item_draws(np.random.default_rng(4), ULA4, scene, 32))[0])
         failed, inputs = ULA4.with_failures({2}), {}
         for variant, model in ula_pair.items():
             inputs[variant] = flatten_features(repair_input(variant, r, failed))
@@ -866,8 +890,9 @@ class TestModelFile:
             header[key]["constant"] = (stats.maximum <= stats.minimum).astype(int).tolist()
         assert any(header["input_stats"]["constant"])  # some flags are set, as in real files
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        y = simulate_snapshots(GEOM5, scene_from_snr((15.0, 30.0), 5.0), 64,
-                               np.random.default_rng(7))
+        scene = scene_from_snr((15.0, 30.0), 5.0)
+        draws = item_draws(np.random.default_rng(7), GEOM5, scene, 64)
+        y = simulate_snapshots(GEOM5, [scene], draws)[0]
         r, failed = sample_covariance(y)[None], GEOM5.with_failures({1, 3})
         assert (predict_covariance(load_model(path), r, failed).tobytes()
                 == predict_covariance(model, r, failed).tobytes())

@@ -17,7 +17,7 @@ from sparsedoa.signals import (
     stream_seed,
 )
 
-from oracles import analytic_covariance
+from oracles import analytic_covariance, item_draws, per_item_snapshots
 
 
 class TestSourceScene:
@@ -80,13 +80,16 @@ class TestSteeringMatrix:
 class TestSimulateSnapshots:
     def test_shape(self):
         geom = mra_lookup(4)
-        y = simulate_snapshots(geom, scene_from_snr((10.0, 30.0), 0.0), 17, np.random.default_rng(0))
+        scene = scene_from_snr((10.0, 30.0), 0.0)
+        draws = item_draws(np.random.default_rng(0), geom, scene, 17)
+        y = simulate_snapshots(geom, [scene], draws)[0]
         assert y.shape == (4, 17)
 
     def test_noiseless_single_source_rank_one(self):
         geom = mra_lookup(4)
         scene = SourceScene((25.0,), (1.0,), 0.0)
-        y = simulate_snapshots(geom, scene, 50, np.random.default_rng(1))
+        draws = item_draws(np.random.default_rng(1), geom, scene, 50)
+        y = simulate_snapshots(geom, [scene], draws)[0]
         a = steering_matrix(geom.positions, [25.0])[:, 0]
         # every column must lie on span(a)
         coeffs = a.conj() @ y / (a.conj() @ a)
@@ -95,18 +98,65 @@ class TestSimulateSnapshots:
     def test_deterministic_given_seed(self):
         geom = mra_lookup(4)
         scene = scene_from_snr((10.0, 40.0), 0.0)
-        y1 = simulate_snapshots(geom, scene, 32, stream_rng(7, "a"))
-        y2 = simulate_snapshots(geom, scene, 32, stream_rng(7, "a"))
+        y1 = simulate_snapshots(geom, [scene], item_draws(stream_rng(7, "a"), geom, scene, 32))[0]
+        y2 = simulate_snapshots(geom, [scene], item_draws(stream_rng(7, "a"), geom, scene, 32))[0]
         npt.assert_array_equal(y1, y2)
 
     def test_large_n_matches_analytic(self):
         geom = mra_lookup(4)
         scene = scene_from_snr((20.0,), 0.0)
-        y = simulate_snapshots(geom, scene, 100_000, np.random.default_rng(3))
+        y = simulate_snapshots(geom, [scene],
+                               item_draws(np.random.default_rng(3), geom, scene, 100_000))[0]
         r = sample_covariance(y)
         r_bar = analytic_covariance(geom, scene)
         rel = np.linalg.norm(r - r_bar) / np.linalg.norm(r_bar)
         assert rel < 0.02
+
+
+class TestSnapshotMix:
+    """The block mix against ``per_item_snapshots``, the per-item form it replaced: each
+    row of a block is that item's four draws, mixed with its own scene."""
+
+    @staticmethod
+    def _block(geom, scenes, n, seed):
+        draws = np.empty((len(scenes), 2 * (scenes[0].k + geom.size), n))
+        for j, out in enumerate(draws):
+            stream_rng(seed, "mix", j).standard_normal(out.shape, out=out)
+        return simulate_snapshots(geom, scenes, draws)
+
+    @pytest.mark.parametrize("m, n", [(4, 1), (5, 37), (10, 200)])
+    def test_unequal_powers_match_per_item(self, m, n):
+        geom, rng = mra_lookup(m), np.random.default_rng(m)
+        scenes = [SourceScene(tuple(np.sort(rng.uniform(-80, 80, 3))),
+                              tuple(rng.uniform(0.05, 4.0, 3)), float(rng.uniform(0.0, 2.0)))
+                  for _ in range(7)]
+        y = self._block(geom, scenes, n, seed=m)
+        assert y.shape == (7, m, n)
+        for j, scene in enumerate(scenes):
+            expected = per_item_snapshots(geom, scene, n, stream_rng(m, "mix", j))
+            assert y[j].tobytes() == expected.tobytes()
+
+    def test_noise_only_scenes(self):
+        geom = mra_lookup(5)
+        scenes = [SourceScene((), (), 0.3), SourceScene((), (), 1.7)]
+        y = self._block(geom, scenes, 16, seed=2)
+        for j, scene in enumerate(scenes):
+            expected = per_item_snapshots(geom, scene, 16, stream_rng(2, "mix", j))
+            assert y[j].tobytes() == expected.tobytes()
+
+    def test_block_of_one(self):
+        geom, scene = mra_lookup(4), SourceScene((-12.0, 40.0), (2.0, 0.5), 0.8)
+        y = self._block(geom, [scene], 9, seed=5)
+        assert y.shape == (1, 4, 9)
+        assert y[0].tobytes() == per_item_snapshots(geom, scene, 9,
+                                                    stream_rng(5, "mix", 0)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 12, 8), (1, 14, 8), (1, 12, 0), (12, 8)])
+    def test_draws_that_do_not_fit_rejected(self, shape):
+        # one scene of K=2 on 4 sensors needs a (1, 12, N) block with N >= 1
+        with pytest.raises(ValueError, match="do not fit 1 scenes of 2 sources on 4 sensors"):
+            simulate_snapshots(mra_lookup(4), [scene_from_snr((10.0, 30.0), 0.0)],
+                               np.zeros(shape))
 
 
 class TestSampleCovariance:
@@ -141,7 +191,8 @@ class TestSampleCovariance:
             errs = [
                 np.linalg.norm(
                     sample_covariance(
-                        simulate_snapshots(geom, scene, n, stream_rng(s, "c", n))
+                        simulate_snapshots(geom, [scene],
+                                           item_draws(stream_rng(s, "c", n), geom, scene, n))[0]
                     )
                     - r_bar
                 )
@@ -202,7 +253,9 @@ class TestInjectFailures:
 
     def test_snapshot_domain_equivalence(self):
         geom = mra_lookup(5)
-        y = simulate_snapshots(geom, scene_from_snr((12.0, 33.0), 5.0), 64, np.random.default_rng(9))
+        scene = scene_from_snr((12.0, 33.0), 5.0)
+        draws = item_draws(np.random.default_rng(9), geom, scene, 64)
+        y = simulate_snapshots(geom, [scene], draws)[0]
         via_cov = inject_failures(sample_covariance(y), geom.with_failures({1, 4}))
         y_failed = y.copy()
         y_failed[[0, 3], :] = 0.0  # snapshot-domain oracle: sensors 1 and 4 read zero
