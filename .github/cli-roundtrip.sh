@@ -8,7 +8,9 @@
 # with the stacked covariance layers and the batched network forward in forked
 # workers), the spectrum of one trial, whose CSV must hold one row per grid
 # angle and a finite, positive value in every method column, then eval (one
-# record per method) and simulate.
+# record per method) and simulate. Both trained models must load with float32
+# parameter vectors, and eval must also run with a float64 copy of the hybrid
+# model, the dtype of every model file written before float32 training.
 #
 # Usage: .github/cli-roundtrip.sh [work-dir]   (default: a new temporary directory)
 set -euo pipefail
@@ -34,6 +36,22 @@ cmp "$rt/w1/results.csv" "$rt/w2/results.csv"
 
 cli spectrum "${cfg[@]}" --out "$rt" "${models[@]}"
 cli eval "${cfg[@]}" --out "$rt" "${models[@]}"
+python - "$rt" <<'PY'
+import dataclasses, sys
+import numpy as np
+from sparsedoa.neural import load_model, save_model
+rt = sys.argv[1]
+for v in ("hybrid", "data-driven"):
+    model = load_model(f"{rt}/model_{v}.bin")
+    assert model.flat.dtype == np.float32, (v, model.flat.dtype)
+hybrid = load_model(f"{rt}/model_hybrid.bin")
+save_model(dataclasses.replace(hybrid, flat=hybrid.flat.astype(np.float64)),
+           f"{rt}/model_hybrid64.bin")
+assert load_model(f"{rt}/model_hybrid64.bin").flat.dtype == np.float64
+PY
+cli eval "${cfg[@]}" --out "$rt/eval64" --hybrid-model "$rt/model_hybrid64.bin" \
+  --data-driven-model "$rt/model_data-driven.bin"
+test -s "$rt/eval64/records_snr0_trial0.csv"
 python - "$rt" <<'PY'
 import csv, math, sys
 import sparsedoa as sd

@@ -111,7 +111,7 @@ class MlpModel:
     ``dropout_rates[i]`` is the post-activation drop probability after
     affine layer i (the output layer's rate is always 0). ``flat`` holds every
     parameter, layer-major W_0, b_0, W_1, b_1, ...; ``weights`` and ``biases``
-    are views into it.
+    are views into it. Its dtype, float32 or float64, is every training array's.
     """
 
     variant: str
@@ -124,9 +124,9 @@ class MlpModel:
 
     def __post_init__(self):
         count = _parameter_count(self.layer_dims)
-        if not (isinstance(self.flat, np.ndarray) and self.flat.dtype == np.float64
+        if not (isinstance(self.flat, np.ndarray) and self.flat.dtype in (np.float32, np.float64)
                 and self.flat.shape == (count,) and self.flat.flags.c_contiguous):
-            raise ValueError(f"flat must be a C-contiguous float64 vector of {count} "
+            raise ValueError(f"flat must be a C-contiguous float32 or float64 vector of {count} "
                              f"parameters for layer_dims {self.layer_dims}")
         if not (len(rates := self.dropout_rates) == self.n_layers and not any(rates[-1:])
                 and all(0 <= p < 1 for p in rates)):
@@ -177,7 +177,7 @@ def feature_widths(geom: ArrayGeometry) -> tuple[int, int]:
 
 
 def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
-    """Glorot-uniform initialized repair network for the given geometry."""
+    """Glorot-uniform float32 repair network for the geometry, each draw rounded once."""
     l_dim, h_dim = feature_widths(geom)
     layers = {HYBRID: ([h_dim] * 5, [0.2, 0.4, 0.0, 0.0]),
               DATA_DRIVEN: ([l_dim] * 3 + [h_dim] * 3, [0.2, 0.2, 0.2, 0.2, 0.0])}
@@ -185,8 +185,8 @@ def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
         raise ValueError(f"unknown variant {variant!r}")
     dims, dropout = layers[variant]
     rng = stream_rng(seed, "init", variant)
-    model = MlpModel(variant=variant, layer_dims=dims, flat=np.zeros(_parameter_count(dims)),
-                     dropout_rates=dropout,
+    model = MlpModel(variant=variant, layer_dims=dims, dropout_rates=dropout,
+                     flat=np.zeros(_parameter_count(dims), np.float32),
                      meta={"geometry": list(geom.positions), "init_seed": seed})
     for w in model.weights:  # each draw goes into its view before the next is made
         bound = np.sqrt(6.0 / sum(w.shape))
@@ -198,13 +198,13 @@ def _train_buffers(model: MlpModel, rows: int) -> dict:
     """Every array that a train-mode step of up to ``rows`` rows writes: layer inputs (the
     first is the batch gather) and output, dropout draws (spent, they hold the backward
     pass's ReLU masks), keep masks, deltas, and one gradient block for any layer."""
-    dims, hidden = model.layer_dims, model.layer_dims[1:-1]
-    return {"inputs": [np.empty((rows, d)) for d in dims],
-            "draws": [np.empty((rows, d)) for d in hidden],
+    dims, hidden, dtype = model.layer_dims, model.layer_dims[1:-1], model.flat.dtype
+    return {"inputs": [np.empty((rows, d), dtype) for d in dims],
+            "draws": [np.empty((rows, d), dtype) for d in hidden],
             "drop_mask": [np.empty((rows, d), bool) if p else None
                           for d, p in zip(hidden + [0], model.dropout_rates)],
-            "delta": [np.empty((rows, d)) for d in dims[1:]],
-            "grad": np.empty(max((a + 1) * b for a, b in zip(dims, dims[1:])))}
+            "delta": [np.empty((rows, d), dtype) for d in dims[1:]],
+            "grad": np.empty(max((a + 1) * b for a, b in zip(dims, dims[1:])), dtype)}
 
 
 def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=None,
@@ -216,7 +216,7 @@ def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=Non
     applies no dropout and is deterministic. Train mode writes into the leading
     rows of ``buffers`` (made for this batch when None); the cache holds them.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=model.flat.dtype)  # one cast: every layer keeps this dtype
     if x.ndim != 2 or x.shape[1] != model.d_in:
         raise ValueError(f"expected batch shape (B, {model.d_in}), got {x.shape}")
     if train and rng is None:
@@ -232,17 +232,20 @@ def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=Non
         if i < model.n_layers - 1:
             np.maximum(out, 0.0, out=out)  # carries NaN through, unlike a masked select
             if train and p > 0.0:
-                out *= np.greater_equal(rng.random(out=cache["draws"][i]), p,
-                                        out=cache["drop_mask"][i])
+                draws = rng.random(out=cache["draws"][i], dtype=out.dtype)
+                out *= np.greater_equal(draws, p, out=cache["drop_mask"][i])
                 out /= 1.0 - p
     return (out, cache) if train else out
 
 
-def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean((output - target) ** 2))
+def mse_loss(output: np.ndarray, target: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Mean of (output - target)**2 over equal shapes; the residual goes to ``out`` if given."""
+    if np.shape(target) != np.shape(output):
+        raise ValueError(f"target shape {np.shape(target)} != output shape {np.shape(output)}")
+    return float(np.vdot(r := np.subtract(output, target, out=out), r)) / r.size
 
 
-def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray, target: np.ndarray,
+def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray, target: np.ndarray | None,
                  adam: list[AdamState] | None = None) -> list[np.ndarray] | None:
     """Exact MSE gradients, one layer's block (W_i, b_i) at a time, last layer first.
 
@@ -251,15 +254,14 @@ def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray, target: np.nd
     cached forward pass are respected. Without ``adam`` they fill a new vector laid out
     as ``model.flat``, returned as its views. With one Adam state per layer, each block
     goes through the cache's gradient buffer to ``adam_step`` once the delta below is
-    formed with the old weights, and no full-size gradient exists.
+    formed with the old weights, and no full-size gradient exists. With ``target`` None
+    the last delta buffer holds output - target already (``train`` forms it with the loss).
     """
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != output.shape:
-        raise ValueError(f"target shape {target.shape} != output shape {output.shape}")
-    dims, params = model.layer_dims, model.parameters()
+    if target is not None:
+        mse_loss(output, target, out=cache["delta"][-1])
+    dims, params, delta = model.layer_dims, model.parameters(), cache["delta"][-1]
     grads = (_parameter_views(np.empty_like(model.flat), dims) if adam is None else
              [g for pair in zip(dims, dims[1:]) for g in _parameter_views(cache["grad"], pair)])
-    delta = np.subtract(output, target, out=cache["delta"][-1])
     delta *= 2.0
     delta /= output.size
     for i in range(model.n_layers - 1, -1, -1):
@@ -289,22 +291,23 @@ ADAM_CHUNK = 1 << 15  # elements per Adam block: the six blocks in flight fit in
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, step count and learning rate."""
+    """Moment accumulators, two ``ADAM_CHUNK`` scratch blocks, step count and learning rate."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: np.ndarray = field(repr=False)
     step: int = 0
     lr: float = 1e-3
 
 
 def adam_init(params: list[np.ndarray], lr: float) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params], lr=lr)
+    return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params],
+                     lr=lr, scratch=np.empty((2, ADAM_CHUNK), np.result_type(*params)))
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     """One bias-corrected Adam update, in place, over C-contiguous arrays in blocks of
-    ``ADAM_CHUNK`` elements through two scratch blocks (no full-size temporary). Each
+    ``ADAM_CHUNK`` elements through the state's scratch (no temporary at all). Each
     block takes the elementwise steps of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the bits are the same."""
     if len(params) != len(state.m) or len(grads) != len(params):
@@ -315,12 +318,11 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1, corr2 = 1.0 - b1**state.step, 1.0 - b2**state.step
-    scratch = np.empty((2, ADAM_CHUNK))
     for group in groups:
         whole = [a.reshape(-1) for a in group]
         for lo in range(0, whole[0].size, ADAM_CHUNK):
             p, g, m, v = (a[lo:lo + ADAM_CHUNK] for a in whole)
-            t, u = scratch[:, :p.size]
+            t, u = state.scratch[:, :p.size]
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=t)
             v *= b2
@@ -483,10 +485,11 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
     n_train = training_rows(dataset.n_samples, split)
     model.input_stats = minmax_fit(dataset.inputs[:n_train])
     model.target_stats = minmax_fit(dataset.targets[:n_train])
-    x_train = minmax_apply(dataset.inputs[:n_train], model.input_stats)
-    y_train = minmax_apply(dataset.targets[:n_train], model.target_stats)
-    x_val = minmax_apply(dataset.inputs[n_train:], model.input_stats)
-    y_val = minmax_apply(dataset.targets[n_train:], model.target_stats)
+    dtype = model.flat.dtype  # the normalized split is rounded once into the model's dtype
+    x_train = minmax_apply(dataset.inputs[:n_train], model.input_stats).astype(dtype, copy=False)
+    y_train = minmax_apply(dataset.targets[:n_train], model.target_stats).astype(dtype, copy=False)
+    x_val = minmax_apply(dataset.inputs[n_train:], model.input_stats).astype(dtype, copy=False)
+    y_val = minmax_apply(dataset.targets[n_train:], model.target_stats).astype(dtype, copy=False)
 
     buffers = _train_buffers(model, min(batch_size, n_train))
     x_rows, y_rows = buffers["inputs"][0], np.empty_like(buffers["inputs"][-1])
@@ -510,11 +513,11 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
             batch = np.take(x_train, rows, axis=0, out=x_rows[:rows.size], mode="clip")
             batch_target = np.take(y_train, rows, axis=0, out=y_rows[:rows.size], mode="clip")
             pred, cache = mlp_forward(model, batch, train=True, rng=rng, buffers=buffers)
-            loss = mse_loss(pred, batch_target)
+            loss = mse_loss(pred, batch_target, out=cache["delta"][-1])  # residual: output delta
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite training loss at epoch {epoch}", history)
             total += loss * rows.size
-            mlp_backward(model, cache, pred, batch_target, adam=states)
+            mlp_backward(model, cache, pred, None, adam=states)
         val = mse_loss(mlp_forward(model, x_val), y_val) if x_val.shape[0] else float("nan")
         history.append(EpochStats(epoch=epoch, train_mse=total / n_train, val_mse=val,
                                   seconds=time.perf_counter() - tic))
@@ -574,22 +577,29 @@ def _read_file(path, magic: str, body_bytes) -> tuple[dict, bytearray]:
     return header, body
 
 
+def _file_dtype(header: dict) -> np.dtype:
+    """A model file's parameter dtype, little-endian; float64 files carry no ``dtype`` key."""
+    return np.dtype(header.get("dtype", "float64")).newbyteorder("<")
+
+
 def save_model(model: MlpModel, path) -> None:
-    """JSON header line + float64 little-endian parameters, layer-major."""
+    """JSON header line + little-endian parameters in the model's dtype, layer-major."""
     header = {
         "format": MODEL_MAGIC,
         "variant": model.variant,
         "layer_dims": model.layer_dims,
+        **({"dtype": model.flat.dtype.name} if model.flat.dtype != np.float64 else {}),
         "dropout_rates": model.dropout_rates,
         "input_stats": model.input_stats.to_jsonable() if model.input_stats else None,
         "target_stats": model.target_stats.to_jsonable() if model.target_stats else None,
         "meta": model.meta,
     }
-    _write_file(path, header, [model.flat.astype("<f8", copy=False)])
+    _write_file(path, header, [model.flat.astype(_file_dtype(header), copy=False)])
 
 
 def load_model(path) -> MlpModel:
-    header, body = _read_file(path, MODEL_MAGIC, lambda h: 8 * _parameter_count(h["layer_dims"]))
+    header, body = _read_file(path, MODEL_MAGIC, lambda h: _file_dtype(h).itemsize
+                              * _parameter_count(h["layer_dims"]))
     dims = header["layer_dims"]
     stats = {key: NormStats.from_jsonable(header[key]) if header[key] else None
              for key in ("input_stats", "target_stats")}
@@ -600,7 +610,7 @@ def load_model(path) -> MlpModel:
     model = MlpModel(
         variant=header["variant"],
         layer_dims=dims,
-        flat=np.frombuffer(body, "<f8"),  # the model keeps the buffer
+        flat=np.frombuffer(body, _file_dtype(header)),  # the model keeps the buffer
         dropout_rates=header["dropout_rates"],
         meta=header.get("meta", {}),
         **stats,

@@ -121,7 +121,8 @@ def _allocating_forward(model, x, rng):
             break
         out = np.maximum(out, 0.0)
         p = model.dropout_rates[i]
-        keep = rng.random(out.shape) >= p if rng is not None and p > 0.0 else None
+        keep = (rng.random(out.shape, dtype=out.dtype) >= p
+                if rng is not None and p > 0.0 else None)
         if keep is not None:
             out = out * keep / (1.0 - p)
         cache["drop_mask"].append(keep)
@@ -151,15 +152,18 @@ def _allocating_backward(model, cache, output, target, grad):
 
 def train_oracle(model, dataset, epochs, batch_size, split, seed, lr):
     """``train``'s arithmetic as one allocating forward and backward pass into one
-    full gradient vector, then one Adam step over the whole of ``model.flat``.
-    Returns the loss history; ``model.flat`` is trained in place."""
+    full gradient vector, then one Adam step over the whole of ``model.flat``, all in
+    the dtype of ``model.flat``. Returns the loss history; ``model.flat`` is trained
+    in place."""
     n_train = training_rows(dataset.n_samples, split)
     model.input_stats = minmax_fit(dataset.inputs[:n_train])
     model.target_stats = minmax_fit(dataset.targets[:n_train])
-    x_train = minmax_apply(dataset.inputs[:n_train], model.input_stats)
-    y_train = minmax_apply(dataset.targets[:n_train], model.target_stats)
-    x_val = minmax_apply(dataset.inputs[n_train:], model.input_stats)
-    y_val = minmax_apply(dataset.targets[n_train:], model.target_stats)
+    x_train, y_train, x_val, y_val = (
+        minmax_apply(data, stats).astype(model.flat.dtype)
+        for data, stats in ((dataset.inputs[:n_train], model.input_stats),
+                            (dataset.targets[:n_train], model.target_stats),
+                            (dataset.inputs[n_train:], model.input_stats),
+                            (dataset.targets[n_train:], model.target_stats)))
     state = adam_init([model.flat], lr=lr)
     grad = np.empty_like(model.flat)
     rng = stream_rng(seed, "train", model.variant)

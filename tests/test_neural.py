@@ -260,18 +260,40 @@ class TestAdamBlocks:
         [(40, 30), (30,), (2 * ADAM_CHUNK + 7,), (3, 5), (5,)],
     ])
     def test_matches_whole_array_oracle_bytes(self, shapes):
-        rng = np.random.default_rng(len(shapes) + shapes[0][0])
-        params = [rng.standard_normal(shape) for shape in shapes]
-        oracle_params = [p.copy() for p in params]
-        state, oracle = adam_init(params, lr=1e-3), adam_init(oracle_params, lr=1e-3)
-        for _ in range(20):
-            grads = [rng.standard_normal(shape) * rng.uniform(1e-3, 10.0) for shape in shapes]
-            adam_step(state, params, grads)
-            adam_step_oracle(oracle, oracle_params, grads)
-        assert state.step == oracle.step == 20
-        for got, want in zip(params + state.m + state.v,
-                             oracle_params + oracle.m + oracle.v):
-            assert got.tobytes() == want.tobytes()
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(len(shapes) + shapes[0][0])
+            params = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+            oracle_params = [p.copy() for p in params]
+            state, oracle = adam_init(params, lr=1e-3), adam_init(oracle_params, lr=1e-3)
+            for _ in range(20):
+                grads = [(rng.standard_normal(shape) * rng.uniform(1e-3, 10.0)).astype(dtype)
+                         for shape in shapes]
+                adam_step(state, params, grads)
+                adam_step_oracle(oracle, oracle_params, grads)
+            assert state.step == oracle.step == 20
+            for got, want in zip(params + state.m + state.v,
+                                 oracle_params + oracle.m + oracle.v):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_reuse_the_state_scratch(self, dtype):
+        # the two scratch blocks are made once, by adam_init, in the parameters' dtype
+        rng = np.random.default_rng(0)
+        params = [rng.standard_normal((3 * ADAM_CHUNK + 5,)).astype(dtype)]
+        grads = [rng.standard_normal(params[0].shape).astype(dtype)]
+        state = adam_init(params, lr=1e-3)
+        assert state.scratch.dtype == dtype and state.scratch.shape == (2, ADAM_CHUNK)
+        adam_step(state, params, grads)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                adam_step(state, params, grads)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < ADAM_CHUNK * np.dtype(dtype).itemsize
 
     def test_rejects_non_contiguous_arrays(self):
         params = [np.zeros((4, 6))[:, ::2]]
@@ -545,16 +567,20 @@ class TestTrain:
     @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
     @pytest.mark.parametrize("m", [5, 7])
     def test_matches_the_allocating_oracle_bytes(self, variant, m):
-        trained, oracle = (build_model(variant, mra_lookup(m), seed=3) for _ in range(2))
-        rng = np.random.default_rng(m)
-        dataset = TrainingDataset(inputs=rng.standard_normal((45, trained.d_in)),
-                                  targets=rng.standard_normal((45, trained.d_out)), meta={})
-        history = train(trained, dataset, epochs=3, batch_size=16, seed=2)
-        expected = train_oracle(oracle, dataset, epochs=3, batch_size=16, split=0.8, seed=2,
-                                lr=1e-3)
-        assert [(h.train_mse, h.val_mse) for h in history] == \
-            [(h.train_mse, h.val_mse) for h in expected]
-        assert trained.flat.tobytes() == oracle.flat.tobytes()
+        # built float32, and the same draws as a float64 vector; the oracle works in either
+        for dtype in (np.float32, np.float64):
+            trained, oracle = (build_model(variant, mra_lookup(m), seed=3) for _ in range(2))
+            trained.flat, oracle.flat = trained.flat.astype(dtype), oracle.flat.astype(dtype)
+            rng = np.random.default_rng(m)
+            dataset = TrainingDataset(inputs=rng.standard_normal((45, trained.d_in)),
+                                      targets=rng.standard_normal((45, trained.d_out)), meta={})
+            history = train(trained, dataset, epochs=3, batch_size=16, seed=2)
+            expected = train_oracle(oracle, dataset, epochs=3, batch_size=16, split=0.8, seed=2,
+                                    lr=1e-3)
+            assert [(h.train_mse, h.val_mse) for h in history] == \
+                [(h.train_mse, h.val_mse) for h in expected]
+            assert trained.flat.dtype == dtype
+            assert trained.flat.tobytes() == oracle.flat.tobytes()
 
     def test_zero_epochs_rejected(self):
         # used to return an empty history and leave a fitted but untrained model
@@ -675,14 +701,16 @@ class TestPredictCovariance:
 
     def test_stack_rows_match_single_predictions(self, trained_pair):
         # one forward over the stack; a GEMM row may differ from the batch-1 GEMV
-        # product in its last bits only
+        # product in its last bits only: 1e-12 for a float64 vector, 64 ulps for float32
         r = np.stack([self._full_covariance(seed) for seed in range(33, 38)])
-        for model in trained_pair.values():
-            stacked = predict_covariance(model, r, self.FAILED)
-            assert stacked.shape == (5, 10, 10)
-            for row, one in zip(stacked, r):
-                npt.assert_allclose(row, predict_covariance(model, one[None], self.FAILED)[0],
-                                    rtol=1e-12, atol=1e-12 * np.abs(row).max())
+        for trained in trained_pair.values():
+            for dtype, tol in ((np.float32, 64 * np.finfo(np.float32).eps), (np.float64, 1e-12)):
+                model = dataclasses.replace(trained, flat=trained.flat.astype(dtype))
+                stacked = predict_covariance(model, r, self.FAILED)
+                assert stacked.shape == (5, 10, 10)
+                for row, one in zip(stacked, r):
+                    npt.assert_allclose(row, predict_covariance(model, one[None], self.FAILED)[0],
+                                        rtol=tol, atol=tol * np.abs(row).max())
 
     @pytest.mark.parametrize("failed", [(), (1, 3), (2,)])
     def test_block_matches_per_row_oracle_bit_for_bit(self, trained_pair, failed):
@@ -704,7 +732,7 @@ class TestFlatParameters:
     def test_views_are_layer_major_in_flat(self, variant):
         model = build_model(variant, GEOM5, seed=0)
         params = model.parameters()
-        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        assert model.flat.dtype == np.float32 and model.flat.flags.c_contiguous
         assert model.flat.size == sum(p.size for p in params)
         assert all(np.shares_memory(p, model.flat) for p in params)
         model.flat[:] = np.arange(model.flat.size)
@@ -714,9 +742,14 @@ class TestFlatParameters:
             start += p.size
 
     def test_flat_must_be_one_contiguous_float64_vector(self):
-        MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], flat=np.zeros(26), dropout_rates=[0.0, 0.0])
-        # too short, float32, strided, 2-D
-        for flat in (np.zeros(25), np.zeros(26, np.float32), np.zeros(52)[::2], np.zeros((2, 13))):
+        # or float32: the vector's dtype is the model's
+        for dtype in (np.float32, np.float64):
+            model = MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], flat=np.zeros(26, dtype),
+                             dropout_rates=[0.0, 0.0])
+            assert all(p.dtype == dtype for p in model.parameters())
+        # too short, float16, int, complex, strided, 2-D
+        for flat in (np.zeros(25), np.zeros(26, np.float16), np.zeros(26, np.int64),
+                     np.zeros(26, np.complex128), np.zeros(52)[::2], np.zeros((2, 13))):
             with pytest.raises(ValueError, match="layer_dims"):
                 MlpModel(variant=HYBRID, layer_dims=[3, 4, 2], flat=flat,
                          dropout_rates=[0.0, 0.0])
@@ -731,7 +764,10 @@ class TestFlatParameters:
         for fan_in, fan_out in zip(dims, dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             expected += [rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros(fan_out)]
-        npt.assert_array_equal(model.flat, np.concatenate([p.ravel() for p in expected]))
+        # each float64 draw rounded once to float32
+        assert model.flat.dtype == np.float32
+        npt.assert_array_equal(model.flat,
+                               np.concatenate([p.ravel() for p in expected]).astype(np.float32))
         assert model.flat.flags.owndata  # built in place, not packed from a copy
 
     def test_loaded_model_keeps_the_read_vector(self, tmp_path):
@@ -765,21 +801,23 @@ class TestFlatParameters:
         data = path.read_bytes()
         header, body = data.split(b"\n", 1)
         assert json.loads(header)["layer_dims"] == model.layer_dims
-        assert body == b"".join(p.astype("<f8").tobytes() for p in model.parameters())
+        assert json.loads(header)["dtype"] == "float32"
+        assert body == b"".join(p.astype("<f4").tobytes() for p in model.parameters())
         again = tmp_path / "again.bin"
         save_model(load_model(path), again)
         assert again.read_bytes() == data
 
     def test_training_holds_no_full_size_gradient(self):
         # Adam's two moments are flat-sized; the gradient exists one layer's block at a
-        # time. The slack covers Adam's two scratch blocks, the row buffers and the
-        # normalized split of 20 rows. A full gradient would add another flat.nbytes.
+        # time. The slack covers each layer's Adam scratch (two blocks per state), the row
+        # buffers and the normalized split of 20 rows. A full gradient would add another
+        # flat.nbytes.
         model = build_model(HYBRID, GEOM5, seed=0)
         rng = np.random.default_rng(0)
         dataset = TrainingDataset(inputs=rng.uniform(0, 1, (20, model.d_in)),
                                   targets=rng.uniform(0, 1, (20, model.d_out)), meta={})
         largest_block = max(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
-        slack = 2 * ADAM_CHUNK * 8 + (1 << 19)
+        slack = model.n_layers * 2 * ADAM_CHUNK * model.flat.itemsize + (1 << 19)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -800,6 +838,44 @@ class TestFlatParameters:
         assert whole.shape == model.flat.shape and not np.shares_memory(whole, model.flat)
         assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
         assert all(g.base is whole for g in grads)
+
+
+class TestDtype:
+    """``model.flat``'s dtype, float32 or float64, is that of every training array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    def test_the_vector_sets_every_dtype(self, variant, dtype):
+        model = build_model(variant, GEOM5, seed=1)
+        model.flat = model.flat.astype(dtype)
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 1, (6, model.d_in))  # float64 rows, cast once by the forward
+        assert mlp_forward(model, x).dtype == dtype
+        out, cache = mlp_forward(model, x, train=True, rng=rng)
+        assert out.dtype == dtype
+        arrays = cache["inputs"] + cache["draws"] + cache["delta"] + [cache["grad"]]
+        assert all(a.dtype == dtype for a in arrays)
+        grads = mlp_backward(model, cache, out, rng.uniform(0, 1, out.shape))
+        assert all(g.dtype == dtype for g in grads)
+        state = adam_init(model.parameters(), lr=1e-3)
+        adam_step(state, model.parameters(), grads)
+        assert all(a.dtype == dtype for a in state.m + state.v + [state.scratch, model.flat])
+        dataset = TrainingDataset(inputs=rng.uniform(0, 1, (20, model.d_in)),
+                                  targets=rng.uniform(0, 1, (20, model.d_out)), meta={})
+        flat = model.flat
+        history = train(model, dataset, epochs=2, batch_size=8, seed=0)
+        assert model.flat is flat and model.flat.dtype == dtype
+        assert all(np.isfinite([h.train_mse, h.val_mse]).all() for h in history)
+
+    def test_loss_rejects_a_target_of_another_shape(self):
+        # a (D,) target used to broadcast over the batch
+        with pytest.raises(ValueError, match=r"target shape \(3,\) != output shape \(2, 3\)"):
+            mse_loss(np.zeros((2, 3)), np.zeros(3))
+
+    def test_residual_goes_to_out(self):
+        output, target, out = np.array([[1.0, 4.0]]), np.array([[3.0, 1.0]]), np.empty((1, 2))
+        assert mse_loss(output, target, out=out) == 6.5
+        npt.assert_array_equal(out, [[-2.0, 3.0]])
 
 
 class TestModelFile:
@@ -824,6 +900,50 @@ class TestModelFile:
         loaded = load_model(path)
         x = np.random.default_rng(3).uniform(0, 1, (2, model.d_in))
         npt.assert_array_equal(mlp_forward(loaded, x), mlp_forward(model, x))
+
+    def test_float32_file_round_trips_bytes(self, tmp_path, trained_pair):
+        model = trained_pair[DATA_DRIVEN]
+        path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.flat.dtype == np.float32
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_file_without_dtype_is_float64(self, tmp_path, trained_pair):
+        # the layout every file had before the header named its dtype: a JSON header line
+        # without the key, then the parameters as <f8
+        model = trained_pair[HYBRID]
+        flat64 = model.flat.astype(np.float64)
+        header = {"format": "sparsedoa-model-v1", "variant": model.variant,
+                  "layer_dims": model.layer_dims, "dropout_rates": model.dropout_rates,
+                  "input_stats": model.input_stats.to_jsonable(),
+                  "target_stats": model.target_stats.to_jsonable(), "meta": model.meta}
+        path, again = tmp_path / "old.bin", tmp_path / "again.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + flat64.astype("<f8").tobytes())
+        loaded = load_model(path)
+        assert loaded.flat.dtype == np.float64 and loaded.flat.tobytes() == flat64.tobytes()
+        r = TestPredictCovariance()._full_covariance()[None]
+        failed = GEOM5.with_failures({1, 3})
+        want = predict_covariance(dataclasses.replace(model, flat=flat64), r, failed)
+        assert predict_covariance(loaded, r, failed).tobytes() == want.tobytes()
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("stated, written", [("float32", "<f8"), (None, "<f4")])
+    def test_body_must_fit_the_stated_dtype(self, tmp_path, trained_pair, stated, written):
+        model = trained_pair[HYBRID]
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        header.pop("dtype")
+        if stated:
+            header["dtype"] = stated
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + model.flat.astype(written).tobytes())
+        with pytest.raises(ValueError, match="model.bin: header implies .* data bytes, found"):
+            load_model(path)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bogus.bin"
