@@ -2,8 +2,10 @@
 # A CLI round trip with both repair models, through `python -m sparsedoa`:
 # dataset and train on 60 rows for one epoch (the hybrid dataset is written
 # twice and must match byte for byte: its 60 rows are one full block of 32
-# samples and one short block, so rows of an unfilled block buffer would show),
-# an 80-item sweep (three blocks)
+# samples and one short block, so rows of an unfilled block buffer would show;
+# the hybrid model is trained again without --dataset and must match the one
+# trained from the file byte for byte, since a dataset is float32 in memory and
+# on disk alike), an 80-item sweep (three blocks)
 # at 1 and 2 workers whose results.csv must match byte for byte (criterion 8
 # with the stacked covariance layers and the batched network forward in forked
 # workers), the spectrum of one trial, whose CSV must hold one row per grid
@@ -29,6 +31,8 @@ for v in hybrid data-driven; do
 done
 cli dataset "${cfg[@]}" --variant hybrid --out "$rt/again"
 cmp "$rt/dataset_hybrid.bin" "$rt/again/dataset_hybrid.bin"
+cli train "${cfg[@]}" --variant hybrid --out "$rt/direct"
+cmp "$rt/model_hybrid.bin" "$rt/direct/model_hybrid.bin"
 for w in 1 2; do
   cli sweep "${cfg[@]}" --workers "$w" --out "$rt/w$w" "${models[@]}"
 done

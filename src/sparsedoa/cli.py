@@ -150,11 +150,9 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     models = _load_models(args)
     methods = tuple(args.methods.split(",")) if args.methods else config.estimation_methods
-    harness._check_models(config, methods, models)  # a repeat too, which run_trial cannot see
-    records = [
-        harness.run_trial(config, method, args.snr, args.trial, models=models)
-        for method in methods
-    ]
+    harness._check_models(config, methods, models)
+    records, _ = harness._run_block(config, methods, [(args.snr, args.trial)], models,
+                                    with_crb=False)
     path = _out_dir(args) / f"records_snr{args.snr:g}_trial{args.trial}.csv"
     path.write_text(harness.records_csv(records))
     for r in records:

@@ -75,12 +75,15 @@ class NormStats:
 
 
 def minmax_fit(data: np.ndarray) -> NormStats:
-    data = np.asarray(data, dtype=np.float64)
+    """Per-feature min and max, exact in the rows' dtype, as float64; NaN and inf carry through."""
+    data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("fit needs a 2-D array with at least two rows")
-    if not np.isfinite(data).all():
+    stats = NormStats(minimum=data.min(axis=0).astype(np.float64),
+                      maximum=data.max(axis=0).astype(np.float64))
+    if not (np.isfinite(stats.minimum).all() and np.isfinite(stats.maximum).all()):
         raise ValueError("non-finite values in normalization fit data")
-    return NormStats(minimum=data.min(axis=0), maximum=data.max(axis=0))
+    return stats
 
 
 def _span_shift(stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +94,8 @@ def _span_shift(stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
 
 def minmax_apply(data: np.ndarray, stats: NormStats) -> np.ndarray:
     span, shift = _span_shift(stats)
-    return (np.asarray(data, dtype=np.float64) - shift) / span
+    out = np.subtract(data, shift, dtype=np.float64)  # one float64 result, upcast exactly
+    return np.divide(out, span, out=out)
 
 
 def minmax_invert(data: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -362,7 +366,7 @@ class ScenePolicy:
 
 @dataclass
 class TrainingDataset:
-    """Feature rows for one repair variant: inputs P x D_in, targets P x H."""
+    """Feature rows of one repair variant, float32 as generated: inputs P x D_in, targets P x H."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -373,12 +377,12 @@ class TrainingDataset:
         return self.inputs.shape[0]
 
     def fingerprint(self) -> str:
-        """Hash of the meta and of the rows as held: a dataset reloaded from
-        its float32 file hashes apart from the float64 rows it was saved from."""
+        """Hash of the meta and of the rows as held."""
         digest = hashlib.blake2b(digest_size=32)
         digest.update(json.dumps(self.meta, sort_keys=True).encode())
-        digest.update(np.ascontiguousarray(self.inputs))
-        digest.update(np.ascontiguousarray(self.targets))
+        for rows in (self.inputs, self.targets):  # in chunks: a loaded dataset's rows are views
+            for lo in range(0, len(rows), 1024):
+                digest.update(np.ascontiguousarray(rows[lo:lo + 1024]))
         return digest.hexdigest()
 
 
@@ -408,8 +412,8 @@ def generate_dataset(variant: str, geom: ArrayGeometry, policy: ScenePolicy,
         raise ValueError("dataset geometry must be failure-free; failures are drawn per sample")
     l_dim, h_dim = feature_widths(geom)
     d_in = h_dim if variant == HYBRID else l_dim
-    inputs = np.empty((n_samples, d_in), dtype=np.float64)
-    targets = np.empty((n_samples, h_dim), dtype=np.float64)
+    inputs = np.empty((n_samples, d_in), dtype=np.float32)  # each feature rounded once
+    targets = np.empty((n_samples, h_dim), dtype=np.float32)
     rng = stream_rng(seed, "dataset", variant)
     draws = np.empty((_BLOCK_SAMPLES, 2 * (policy.n_sources + geom.size), policy.n_snapshots))
     for start in range(0, n_samples, _BLOCK_SAMPLES):
@@ -631,19 +635,17 @@ def save_dataset(dataset: TrainingDataset, path) -> None:
         "d_out": dataset.targets.shape[1],
         "meta": dataset.meta,
     }
-    _write_file(path, header, [np.concatenate(
-        [dataset.inputs.astype("<f4"), dataset.targets.astype("<f4")], axis=1)])
+    _write_file(path, header, (  # in row chunks, so saving makes no second copy of the rows
+        np.concatenate([dataset.inputs[lo:lo + 1024], dataset.targets[lo:lo + 1024]], axis=1,
+                       dtype="<f4") for lo in range(0, dataset.n_samples, 1024)))
 
 
 def load_dataset(path) -> TrainingDataset:
     header, body = _read_file(path, DATASET_MAGIC,
                               lambda h: 4 * h["n_samples"] * (h["d_in"] + h["d_out"]))
     n, d_in, d_out = header["n_samples"], header["d_in"], header["d_out"]
-    records = np.frombuffer(body, dtype="<f4").reshape(n, d_in + d_out)
-    if not np.isfinite(records).all():  # upcasting keeps finiteness exactly
+    records = np.frombuffer(body, dtype="<f4").reshape(n, d_in + d_out)  # the rows keep the buffer
+    if not np.isfinite(records.sum(dtype=np.float64)):  # exact: float32 sums never overflow it
         raise ValueError(f"{path}: non-finite dataset rows")
-    return TrainingDataset(
-        inputs=records[:, :d_in].astype(np.float64),
-        targets=records[:, d_in:].astype(np.float64),
-        meta=header.get("meta", {}),
-    )
+    return TrainingDataset(inputs=records[:, :d_in], targets=records[:, d_in:],
+                           meta=header.get("meta", {}))

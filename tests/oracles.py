@@ -213,10 +213,10 @@ def per_item_snapshots(geom: ArrayGeometry, scene: SourceScene, n_snapshots: int
 def per_sample_dataset(variant: str, geom: ArrayGeometry, policy, n_samples: int,
                        seed: int) -> TrainingDataset:
     """``generate_dataset`` as one scene, failure set, simulation and feature row at
-    a time, the loop that the block form replaced."""
+    a time, the loop that the block form replaced; each row is rounded once to float32."""
     l_dim, h_dim = feature_widths(geom)
-    inputs = np.empty((n_samples, h_dim if variant == HYBRID else l_dim))
-    targets = np.empty((n_samples, h_dim))
+    inputs = np.empty((n_samples, h_dim if variant == HYBRID else l_dim), np.float32)
+    targets = np.empty((n_samples, h_dim), np.float32)
     rng = stream_rng(seed, "dataset", variant)
     for i in range(n_samples):
         scene = policy.draw_scene(rng)

@@ -1,13 +1,17 @@
+import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sparsedoa import harness
 from sparsedoa.cli import main
 from sparsedoa.coarray import flatten_features, redundancy_average
 from sparsedoa.harness import ExperimentConfig, preset, run_trial, trial_snapshots
-from sparsedoa.neural import load_dataset
+from sparsedoa.neural import load_dataset, load_model
 from sparsedoa.signals import sample_covariance
 
 
@@ -101,6 +105,38 @@ class TestEvalCommand:
                      "--snr", "10", "--methods", "none"])
         assert code == 0
         assert (out_dir / "records_snr10_trial0.csv").exists()
+
+    def test_one_block_for_every_method(self, mini_config, tmp_path, monkeypatch):
+        # the trial's scene is simulated and MUSIC run once for all four methods, and
+        # each record, but for its clock, is the one run_trial gives its method alone
+        methods = ("none", "failed-baseline", "hybrid", "data-driven")
+        config = dataclasses.replace(ExperimentConfig.from_json(mini_config.read_text()),
+                                     methods=methods)
+        mini_config.write_text(config.to_json())
+        args = ["--config", str(mini_config), "--out", str(tmp_path)]
+        paths = {m: str(tmp_path / f"model_{m}.bin") for m in ("hybrid", "data-driven")}
+        for variant in paths:
+            assert main(["train", *args, "--variant", variant]) == 0
+        calls = dict.fromkeys(["_block_snapshots", "music_spectrum"], 0)
+        for name in calls:
+            def counted(*a, _name=name, _real=getattr(harness, name), **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+            monkeypatch.setattr(harness, name, counted)
+        assert main(["eval", *args, "--snr", "10", "--trial", "1", "--hybrid-model",
+                     paths["hybrid"], "--data-driven-model", paths["data-driven"]]) == 0
+        assert calls == {"_block_snapshots": 1, "music_spectrum": 1}
+        monkeypatch.undo()
+        models = {m: load_model(path) for m, path in paths.items()}
+        alone = harness.records_csv([run_trial(config, m, 10.0, 1, models=models)
+                                     for m in methods])
+
+        def without_clock(text):
+            return [{k: v for k, v in row.items() if k != "wall_seconds"}
+                    for row in csv.DictReader(io.StringIO(text))]
+        written = (tmp_path / "records_snr10_trial1.csv").read_text()
+        assert without_clock(written) == without_clock(alone)
+        assert [row["method"] for row in without_clock(written)] == list(methods)
 
     def test_repair_method_without_model_fails(self, mini_config, tmp_path, capsys):
         code = main(["eval", "--config", str(mini_config), "--out", str(tmp_path),

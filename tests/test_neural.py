@@ -102,6 +102,29 @@ class TestMinMax:
         with pytest.raises(ValueError):
             minmax_fit(np.array([[1.0], [np.nan]]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_min_and_max_carry_any_non_finite_value(self, dtype, value):
+        data = np.ones((4, 3), dtype)
+        data[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            minmax_fit(data)
+
+    def test_float32_rows_take_their_float64_upcast_arithmetic(self):
+        # the stats and the scaled rows are float64 and hold the same bits as a fit
+        # and scale of the rows copied up to float64 first
+        rng = np.random.default_rng(3)
+        data = (rng.standard_normal((30, 6)) * rng.uniform(0.1, 50, 6)).astype(np.float32)
+        data[:, 2] = 1.5  # a constant column passes through
+        stats, wide = minmax_fit(data), data.astype(np.float64)
+        for got, want in ((stats.minimum, wide.min(axis=0)), (stats.maximum, wide.max(axis=0))):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        scaled = minmax_apply(data, stats)
+        span = np.where(stats.maximum <= stats.minimum, 1.0, stats.maximum - stats.minimum)
+        shift = np.where(stats.maximum <= stats.minimum, 0.0, stats.minimum)
+        assert scaled.dtype == np.float64
+        assert scaled.tobytes() == ((wide - shift) / span).tobytes()
+
 
 class TestForward:
     def test_zero_weights_give_bias(self):
@@ -368,19 +391,50 @@ class TestGenerateDataset:
         path = tmp_path / "ds.bin"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        npt.assert_allclose(loaded.inputs, ds.inputs, atol=1e-6)
+        npt.assert_array_equal(loaded.inputs, ds.inputs)
+        npt.assert_array_equal(loaded.targets, ds.targets)
         assert loaded.meta["variant"] == DATA_DRIVEN
         assert loaded.n_samples == 3
 
-    def test_fingerprint_tells_reloaded_rows_apart(self, tmp_path):
-        # the file holds float32 rows, so a reloaded dataset is not the one
-        # held in memory, and a model trained on it is not the same model
-        ds = generate_dataset(DATA_DRIVEN, GEOM5, DESK_POLICY, 3, seed=4)
+    @pytest.mark.parametrize("variant", [HYBRID, DATA_DRIVEN])
+    def test_reloaded_dataset_is_the_generated_one(self, tmp_path, variant):
+        # the rows are float32 in memory and on disk, so the workflow `dataset`
+        # then `train --dataset` trains the model that `train` alone does
+        ds = generate_dataset(variant, GEOM5, DESK_POLICY, 40, seed=4)
         save_dataset(ds, tmp_path / "ds.bin")
         loaded = load_dataset(tmp_path / "ds.bin")
-        assert not np.array_equal(loaded.inputs, ds.inputs)
-        assert loaded.fingerprint() != ds.fingerprint()
-        assert load_dataset(tmp_path / "ds.bin").fingerprint() == loaded.fingerprint()
+        for got, want in ((loaded.inputs, ds.inputs), (loaded.targets, ds.targets)):
+            assert got.dtype == want.dtype == np.float32 and np.array_equal(got, want)
+        assert loaded.fingerprint() == ds.fingerprint()
+        runs = []
+        for dataset in (ds, loaded):
+            model = build_model(variant, GEOM5, seed=1)
+            history = train(model, dataset, epochs=2, batch_size=8, seed=2)
+            runs.append((model.flat.tobytes(), [(h.train_mse, h.val_mse) for h in history],
+                         model.meta["dataset_fingerprint"]))
+        assert runs[0] == runs[1]
+
+    def test_file_body_is_held_once(self, tmp_path):
+        # saving writes row chunks, not a copy of every row; loading keeps the rows
+        # as views into the buffer read, with no float64 copy and no full-size
+        # temporary for the finiteness check
+        rng = np.random.default_rng(0)
+        ds = TrainingDataset(inputs=rng.random((8000, 50), np.float32),
+                             targets=rng.random((8000, 200), np.float32), meta={})
+        body = ds.inputs.nbytes + ds.targets.nbytes
+        peaks = []
+        tracemalloc.start()
+        try:
+            for step in (lambda: save_dataset(ds, tmp_path / "ds.bin"),
+                         lambda: load_dataset(tmp_path / "ds.bin")):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                loaded = step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert loaded.inputs.base is not None and loaded.inputs.base is loaded.targets.base
+        assert peaks[0] <= 0.5 * body and peaks[1] <= 1.1 * body
 
     def test_meta_is_the_policy_under_its_own_field_names(self, tmp_path):
         ds = generate_dataset(DATA_DRIVEN, GEOM5, DESK_POLICY, 3, seed=4)
@@ -418,8 +472,8 @@ class TestGenerateDataset:
         failed = DESK_POLICY.draw_failures(GEOM5, rng)
         r = sample_covariance(simulate_snapshots(
             GEOM5, [scene], item_draws(rng, GEOM5, scene, DESK_POLICY.n_snapshots))[0])
-        npt.assert_array_equal(ds.inputs[0],
-                               flatten_features(repair_input(variant, r, failed)))
+        expected = flatten_features(repair_input(variant, r, failed)).astype(np.float32)
+        assert ds.inputs.dtype == np.float32 and ds.inputs[0].tobytes() == expected.tobytes()
 
 
 class TestDrawFailures:
