@@ -5,14 +5,15 @@
 # samples and one short block, so rows of an unfilled block buffer would show;
 # the hybrid model is trained again without --dataset and must match the one
 # trained from the file byte for byte, since a dataset is float32 in memory and
-# on disk alike), an 80-item sweep (three blocks)
-# at 1 and 2 workers whose results.csv must match byte for byte (criterion 8
-# with the stacked covariance layers and the batched network forward in forked
-# workers), the spectrum of one trial, whose CSV must hold one row per grid
-# angle and a finite, positive value in every method column, then eval (one
-# record per method) and simulate. Both trained models must load with float32
-# parameter vectors, and eval must also run with a float64 copy of the hybrid
-# model, the dtype of every model file written before float32 training.
+# on disk alike), an 80-item sweep (three blocks) at 1 and 2 workers whose
+# results.csv and records.csv must match byte for byte (criterion 8 with the
+# stacked covariance layers and the batched network forward in forked workers;
+# a record holds no clock time), the spectrum of one trial, whose CSV must hold
+# one row per grid angle and a finite, positive value in every method column,
+# then eval (one record per method) and simulate. Both trained models must load
+# with float32 parameter vectors, and eval must also run with a float64 copy of
+# the hybrid model, the dtype of every model file written before float32
+# training.
 #
 # Usage: .github/cli-roundtrip.sh [work-dir]   (default: a new temporary directory)
 set -euo pipefail
@@ -34,9 +35,10 @@ cmp "$rt/dataset_hybrid.bin" "$rt/again/dataset_hybrid.bin"
 cli train "${cfg[@]}" --variant hybrid --out "$rt/direct"
 cmp "$rt/model_hybrid.bin" "$rt/direct/model_hybrid.bin"
 for w in 1 2; do
-  cli sweep "${cfg[@]}" --workers "$w" --out "$rt/w$w" "${models[@]}"
+  cli sweep "${cfg[@]}" --workers "$w" --out "$rt/w$w" --records "${models[@]}"
 done
 cmp "$rt/w1/results.csv" "$rt/w2/results.csv"
+cmp "$rt/w1/records.csv" "$rt/w2/records.csv"
 
 cli spectrum "${cfg[@]}" --out "$rt" "${models[@]}"
 cli eval "${cfg[@]}" --out "$rt" "${models[@]}"

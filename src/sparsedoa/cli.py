@@ -151,8 +151,8 @@ def cmd_eval(args) -> int:
     models = _load_models(args)
     methods = tuple(args.methods.split(",")) if args.methods else config.estimation_methods
     harness._check_models(config, methods, models)
-    records, _ = harness._run_block(config, methods, [(args.snr, args.trial)], models,
-                                    with_crb=False)
+    records, _, _ = harness._run_block(config, methods, [(args.snr, args.trial)], models,
+                                       with_crb=False)
     path = _out_dir(args) / f"records_snr{args.snr:g}_trial{args.trial}.csv"
     path.write_text(harness.records_csv(records))
     for r in records:
@@ -175,7 +175,7 @@ def cmd_sweep(args) -> int:
         records_path.write_text(harness.records_csv(result.records))
         outputs["records"] = str(records_path)
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(harness.run_manifest(config, outputs))
+    manifest_path.write_text(harness.run_manifest(config, outputs, result.seconds))
     print(harness.results_csv(result.rows))
     print(f"wrote {results_path}")
     print(f"wrote {manifest_path}")

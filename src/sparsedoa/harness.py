@@ -18,7 +18,7 @@ import dataclasses
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .signals import (
     stream_rng,
     stream_seed,
 )
-from .spectral import crb, doa_mse, music_spectrum, pick_peaks
+from .spectral import _grid_size, crb, doa_mse, music_spectrum, pick_peaks
 
 __all__ = [
     "METHOD_NONE",
@@ -127,6 +127,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name}={getattr(self, name)} must be at least 1")
         if not self.grid_step > 0:
             raise ValueError(f"grid_step={self.grid_step} must be positive")
+        if _grid_size(self.grid_step) < self.k:
+            raise ValueError(f"grid_step={self.grid_step} leaves fewer grid angles than "
+                             f"k={self.k} sources")
         for name in ("angle_min", "angle_max", "min_gap", "train_snr_min", "train_snr_max",
                      "learning_rate"):
             if not np.isfinite(getattr(self, name)):
@@ -223,7 +226,6 @@ class TrialRecord:
     estimated_deg: tuple[float, ...]
     true_deg: tuple[float, ...]
     resolution_failure: bool
-    wall_seconds: float
     error: str | None = None
 
     @property
@@ -257,56 +259,56 @@ _BLOCK_ITEMS = 32  # (SNR, trial) items per block: one repair-network forward pe
 
 def _music_inputs(config: ExperimentConfig, methods, items, models):
     """Scenes of a block of (snr_db, trial) items, each method's stacked covariances for
-    MUSIC (one per item), and the seconds per item that forming them took. The snapshot
-    mix, each covariance layer and each repair network run once over the block's stack."""
+    MUSIC (one per item), and (stage, clock) reads: a start, simulate, then each method.
+    The snapshot mix, each covariance layer and each repair network run once per block."""
+    clock = [("start", time.perf_counter())]
     scenes, snapshots = _block_snapshots(config, items)
     r_full = sample_covariance(snapshots)
-    inputs, seconds = {}, {}
+    clock.append(("simulate", time.perf_counter()))
+    inputs = {}
     for method in methods:
-        tic = time.perf_counter()
         if method in (METHOD_HYBRID, METHOD_DATA_DRIVEN):
             inputs[method] = predict_covariance(models[method], r_full, config.failed_geometry())
         else:  # none or failed-baseline: the intact or damaged smoothed matrix
             geom = config.geometry() if method == METHOD_NONE else config.failed_geometry()
             inputs[method] = repair_input(HYBRID, r_full, geom)
-        seconds[method] = (time.perf_counter() - tic) / len(items)
-    return scenes, inputs, seconds
+        clock.append((method, time.perf_counter()))
+    return scenes, inputs, clock
 
 
 def _run_block(config: ExperimentConfig, methods, items, models,
-               with_crb: bool) -> tuple[list[TrialRecord], list[float]]:
-    """Every method's record on each (snr_db, trial) item of a block, and each item's mean
-    CRB diagonal (NaN without ``with_crb`` or without a bound), from one stacked MUSIC (row
-    by row if it raises) and one stacked CRB. A failed linear-algebra step in MUSIC or peak
-    picking books an errored record for that record alone; any other error propagates."""
-    scenes, inputs, shares = _music_inputs(config, methods, items, models)
-    tic = time.perf_counter()
+               with_crb: bool) -> tuple[list[TrialRecord], list[float], dict[str, float]]:
+    """Every method's record on each (snr_db, trial) item of a block, each item's mean CRB
+    diagonal (NaN without ``with_crb`` or a bound) and each stage's seconds, from one
+    stacked MUSIC (row by row if it raises, timed as peaks) and one stacked CRB. A failed
+    linear-algebra step in MUSIC or peak picking errs its record alone; others propagate."""
+    scenes, inputs, clock = _music_inputs(config, methods, items, models)
     stack = np.stack([inputs[m] for m in methods], 1).reshape(-1, *inputs[methods[0]].shape[1:])
     try:
         spectra = music_spectrum(stack, config.k, grid_step=config.grid_step)
     except np.linalg.LinAlgError:
         spectra = None
+    clock.append(("music", time.perf_counter()))
     records = []
     for (snr_db, trial), scene in zip(items, scenes):
         truth = tuple(float(a) for a in scene.angles_deg)
         for method in methods:
             row = len(records)
-            estimated, resolution_failure, error = (float("nan"),) * config.k, True, None
+            estimated, failure, error = (float("nan"),) * config.k, True, None
             try:
                 peaks = pick_peaks(spectra[row] if spectra is not None else music_spectrum(
                     stack[row:row + 1], config.k, grid_step=config.grid_step)[0], config.k)
                 estimated = tuple(float(a) for a in peaks.angles_deg)
-                resolution_failure = bool(peaks.resolution_failure)
+                failure = bool(peaks.resolution_failure)
             except np.linalg.LinAlgError as exc:
                 error = f"{type(exc).__name__}: {exc}"
-            records.append(TrialRecord(trial, snr_db, method, estimated, truth, resolution_failure,
-                                       shares[method], error))
-    seconds = (time.perf_counter() - tic) / len(records)
-    for record in records:  # an even share of the block's MUSIC and peak time
-        record.wall_seconds += seconds
+            records.append(TrialRecord(trial, snr_db, method, estimated, truth, failure, error))
+    clock.append(("peaks", time.perf_counter()))
     bounds = (crb(config.geometry(), scenes, config.n_snapshots) if with_crb
               else np.full((len(items), 1, 1), np.nan))  # a scene with no bound is NaN
-    return records, [float(np.mean(np.diag(bound))) for bound in bounds]
+    clock.append(("crb", time.perf_counter()))
+    seconds = {stage: toc - tic for (_, tic), (stage, toc) in zip(clock, clock[1:])}
+    return records, [float(np.mean(np.diag(bound))) for bound in bounds], seconds
 
 
 def _policy_mismatch(config: ExperimentConfig, meta: dict) -> str:
@@ -350,7 +352,7 @@ def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
     """Runs one full pipeline trial, as a block of one item; deterministic in
     (master_seed, snr, trial)."""
     _check_models(config, (method,), models)
-    (record,), _ = _run_block(config, (method,), [(snr_db, trial)], models, with_crb=False)
+    (record,), _, _ = _run_block(config, (method,), [(snr_db, trial)], models, with_crb=False)
     return record
 
 
@@ -374,7 +376,7 @@ def _init_worker(config: ExperimentConfig, models) -> None:
     _WORKER_CTX.update(config=config, models=models)  # the BLAS thread count is inherited
 
 
-def _pool_block(items) -> tuple[list[TrialRecord], list[float]]:
+def _pool_block(items) -> tuple[list[TrialRecord], list[float], dict[str, float]]:
     config = _WORKER_CTX["config"]
     return _run_block(config, config.estimation_methods, items, _WORKER_CTX["models"],
                       config.wants_crb)
@@ -382,10 +384,12 @@ def _pool_block(items) -> tuple[list[TrialRecord], list[float]]:
 
 @dataclass
 class SweepResult:
-    """Aggregated sweep table plus every underlying trial record."""
+    """Aggregated sweep table, every trial record, and each stage's seconds summed over the
+    blocks: under a pool, the workers' seconds, whose sum can exceed the wall time."""
 
     rows: list[dict]
-    records: list[TrialRecord] = field(default_factory=list)
+    records: list[TrialRecord]
+    seconds: dict[str, float]
 
 
 def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = None,
@@ -421,8 +425,9 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
                 outcomes = list(pool.map(_pool_block, blocks))
         finally:
             set_threads(parent_threads)
-    all_records = [r for records, _ in outcomes for r in records]
-    crb_diags = [c for _, diags in outcomes for c in diags]
+    all_records = [r for records, _, _ in outcomes for r in records]
+    crb_diags = [c for _, diags, _ in outcomes for c in diags]
+    seconds = {stage: sum(block[stage] for *_, block in outcomes) for stage in outcomes[0][2]}
 
     rows: list[dict] = []
     for snr_idx, snr_db in enumerate(config.test_snrs_db):
@@ -443,7 +448,7 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
                 "crb_deg2": crb_mean,
                 "q": len(ok),
             })
-    return SweepResult(rows=rows, records=all_records)
+    return SweepResult(rows=rows, records=all_records, seconds=seconds)
 
 
 def emit_spectrum(config: ExperimentConfig, snr_db: float, trial: int = 0,
@@ -516,14 +521,13 @@ def results_csv(rows: list[dict]) -> str:
 
 
 def records_csv(records: list[TrialRecord]) -> str:
-    header = ["method", "snr_db", "trial", "res_fail", "wall_seconds", "error",
+    header = ["method", "snr_db", "trial", "res_fail", "error",
               "true_deg", "estimated_deg", "squared_errors"]
     return _csv(header, ([
         r.method,
         _fmt(r.snr_db),
         str(r.trial),
         str(int(r.resolution_failure)),
-        _fmt(r.wall_seconds),
         (r.error or "").replace(",", ";"),
         ";".join(_fmt(v) for v in r.true_deg),
         ";".join(_fmt(v) for v in r.estimated_deg),
@@ -538,7 +542,8 @@ def spectrum_csv(grid: np.ndarray, spectra: dict[str, np.ndarray]) -> str:
                  for i, angle in enumerate(grid)))
 
 
-def run_manifest(config: ExperimentConfig, outputs: dict[str, str]) -> str:
+def run_manifest(config: ExperimentConfig, outputs: dict[str, str],
+                 seconds: dict[str, float]) -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "package": "sparsedoa",
@@ -550,5 +555,6 @@ def run_manifest(config: ExperimentConfig, outputs: dict[str, str]) -> str:
         "master_seed": config.master_seed,
         "config": dataclasses.asdict(config),
         "outputs": outputs,
+        "stage_seconds": seconds,
     }
     return json.dumps(manifest, indent=2, sort_keys=True)

@@ -75,7 +75,8 @@ class NormStats:
 
 
 def minmax_fit(data: np.ndarray) -> NormStats:
-    """Per-feature min and max, exact in the rows' dtype, as float64; NaN and inf carry through."""
+    """Per-feature min and max, exact in the rows' dtype, as float64; a NaN or inf in the
+    rows makes a minimum or maximum non-finite, which raises ValueError."""
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("fit needs a 2-D array with at least two rows")

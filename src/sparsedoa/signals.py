@@ -48,11 +48,13 @@ class SourceScene:
             raise ValueError(f"angles must lie in (-90, 90), got {angles}")
         if any(b <= a for a, b in zip(angles, angles[1:])):
             raise ValueError("angles must be strictly increasing")
-        if any(p < 0 for p in powers) or self.noise_power < 0:
-            raise ValueError("powers must be non-negative")
+        noise_power = float(self.noise_power)
+        if not all(0 <= p < np.inf for p in (*powers, noise_power)):
+            raise ValueError(f"powers {powers} and noise power {noise_power} must be finite "
+                             "and non-negative")
         object.__setattr__(self, "angles_deg", angles)
         object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "noise_power", float(self.noise_power))
+        object.__setattr__(self, "noise_power", noise_power)
 
     @property
     def k(self) -> int:

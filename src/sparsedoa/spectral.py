@@ -58,11 +58,16 @@ def hermitian_eig(r):
     return np.linalg.eigh((values + adjoint) / 2.0)
 
 
+def _grid_size(step: float) -> float:
+    """The number of angles in ``music_spectrum``'s grid over [-90, 90) at ``step`` > 0."""
+    return float(np.ceil(180.0 / step - 1e-12))
+
+
 @lru_cache(maxsize=16)
 def _lag_basis(dim: int, step: float):
     """The grid over [-90, 90), the real basis [1; 2 cos(pi l sin(theta)); -2 sin(pi l
     sin(theta))] (l = 1..dim-1) and the flat indices of the superdiagonals; read-only."""
-    grid = -90.0 + step * np.arange(int(np.ceil((90.0 - (-90.0)) / step - 1e-12)))
+    grid = -90.0 + step * np.arange(int(_grid_size(step)))
     phase = np.pi * np.outer(np.arange(1, dim), np.sin(np.deg2rad(grid)))
     basis = np.concatenate([np.ones((1, grid.size)), 2.0 * np.cos(phase), -2.0 * np.sin(phase)])
     flat = np.concatenate([np.arange(dim - lag) * (dim + 1) + lag for lag in range(dim)])
@@ -109,9 +114,9 @@ def pick_peaks(spectrum: MusicSpectrum, k: int) -> PeakResult:
     When fewer than k local maxima exist the result is padded with the
     highest remaining grid values and flagged as a resolution failure.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     values = spectrum.values
+    if not 1 <= k <= values.size:
+        raise ValueError(f"k={k} must lie in 1..{values.size}, the grid's angle count")
     peaks = _local_maxima(values)
     order = peaks[np.argsort(values[peaks])[::-1]]
     if order.size >= k:

@@ -69,6 +69,9 @@ class TestSweepCommand:
         assert len(results) == 3  # two methods at one SNR
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["q_trials"] == 2
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"simulate", "none", "failed-baseline", "music", "peaks", "crb"}
+        assert all(seconds >= 0 for seconds in stages.values())
 
     def test_seed_override_changes_results(self, mini_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -108,7 +111,7 @@ class TestEvalCommand:
 
     def test_one_block_for_every_method(self, mini_config, tmp_path, monkeypatch):
         # the trial's scene is simulated and MUSIC run once for all four methods, and
-        # each record, but for its clock, is the one run_trial gives its method alone
+        # each record is the one run_trial gives its method alone
         methods = ("none", "failed-baseline", "hybrid", "data-driven")
         config = dataclasses.replace(ExperimentConfig.from_json(mini_config.read_text()),
                                      methods=methods)
@@ -130,13 +133,9 @@ class TestEvalCommand:
         models = {m: load_model(path) for m, path in paths.items()}
         alone = harness.records_csv([run_trial(config, m, 10.0, 1, models=models)
                                      for m in methods])
-
-        def without_clock(text):
-            return [{k: v for k, v in row.items() if k != "wall_seconds"}
-                    for row in csv.DictReader(io.StringIO(text))]
         written = (tmp_path / "records_snr10_trial1.csv").read_text()
-        assert without_clock(written) == without_clock(alone)
-        assert [row["method"] for row in without_clock(written)] == list(methods)
+        assert written == alone
+        assert [row["method"] for row in csv.DictReader(io.StringIO(written))] == list(methods)
 
     def test_repair_method_without_model_fails(self, mini_config, tmp_path, capsys):
         code = main(["eval", "--config", str(mini_config), "--out", str(tmp_path),

@@ -202,6 +202,9 @@ class TestConfig:
         ({"learning_rate": -1.0}, "learning_rate=-1.0 must be positive"),
         ({"learning_rate": 0.0}, "learning_rate=0.0 must be positive"),
         ({"learning_rate": float("nan")}, "learning_rate=nan must be finite"),
+        # a grid of 2 angles (or none) returned fewer estimates than k=3 sources
+        ({"grid_step": 90.0}, "grid_step=90.0 leaves fewer grid angles than k=3"),
+        ({"grid_step": float("inf")}, "grid_step=inf leaves fewer grid angles than k=3"),
     ])
     def test_misuse_rejected_at_build(self, overrides, match):
         # each used to build and fail only at the first step, trial or sample
@@ -265,6 +268,7 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         {"k": 7, "min_gap": 10.0},  # 6 gaps of 10 deg fill [10, 70] exactly
         {"n_train_samples": 2},  # round(1.6) = 2 training rows
+        {"grid_step": 60.0},  # 3 grid angles for k=3
     ])
     def test_fit_and_split_bounds_accepted(self, overrides):
         cfg = preset("desk", **overrides)
@@ -273,11 +277,7 @@ class TestConfig:
 
 class TestRunTrial:
     def test_deterministic(self):
-        a = run_trial(MINI, METHOD_NONE, 10.0, 2)
-        b = run_trial(MINI, METHOD_NONE, 10.0, 2)
-        a = dataclasses.replace(a, wall_seconds=0.0)
-        b = dataclasses.replace(b, wall_seconds=0.0)
-        assert a == b
+        assert run_trial(MINI, METHOD_NONE, 10.0, 2) == run_trial(MINI, METHOD_NONE, 10.0, 2)
 
     def test_scene_shared_across_methods(self):
         a = run_trial(MINI, METHOD_NONE, 0.0, 1)
@@ -368,12 +368,17 @@ class TestRunSweep:
     def test_worker_count_invariance(self):
         seq, par = run_sweep(TWO_BLOCKS, workers=1), run_sweep(TWO_BLOCKS, workers=2)
         assert results_csv(seq.rows) == results_csv(par.rows)
+        assert records_csv(seq.records) == records_csv(par.records)
 
-        def timeless(result):
-            return records_csv([dataclasses.replace(r, wall_seconds=0.0)
-                                for r in result.records])
-
-        assert timeless(seq) == timeless(par)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stage_seconds_sum_over_blocks(self, monkeypatch, workers):
+        # a clock that ticks 1.0 per read: each stage spans one tick of each block
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+        seconds = run_sweep(TWO_BLOCKS, workers=workers).seconds
+        stages = ["simulate", METHOD_NONE, METHOD_FAILED, "music", "peaks", "crb"]
+        assert list(seconds) == stages
+        assert seconds == dict.fromkeys(stages, 2.0)
 
     def test_pool_worker_runs_one_blas_thread(self, monkeypatch, tmp_path):
         # a worker that set its own count would start an OpenBLAS helper thread,
@@ -413,7 +418,7 @@ class TestRunSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         pooled = run_sweep(MINI, workers=2)
         assert results_csv(pooled.rows) == results_csv(serial.rows)
-        assert _timeless(pooled) == _timeless(serial)
+        assert records_csv(pooled.records) == records_csv(serial.records)
 
     def test_pool_leaves_parent_blas_threads(self):
         before = _blas_threads()
@@ -451,10 +456,6 @@ def repair_models(dd_model):
     return {METHOD_HYBRID: train_variant(cfg, "hybrid")[0], METHOD_DATA_DRIVEN: dd_model}
 
 
-def _timeless(result) -> str:
-    return records_csv([dataclasses.replace(r, wall_seconds=0.0) for r in result.records])
-
-
 class TestBlockEngine:
     """The sweep cuts its (SNR, trial) items into blocks of ``_BLOCK_ITEMS`` and
     runs each repair network once per block."""
@@ -481,7 +482,7 @@ class TestBlockEngine:
         cfg = dataclasses.replace(self.CFG, q_trials=q_trials)
         sweeps = [run_sweep(cfg, repair_models, workers=w) for w in (1, 2, 3)]
         assert len({results_csv(s.rows) for s in sweeps}) == 1
-        assert len({_timeless(s) for s in sweeps}) == 1
+        assert len({records_csv(s.records) for s in sweeps}) == 1
 
     def test_one_forward_per_model_per_block(self, repair_models, monkeypatch):
         rows = []
@@ -543,8 +544,7 @@ class TestBlockEngine:
                 assert after.error == "LinAlgError: chosen" and after.resolution_failure
                 assert np.isnan(after.estimated_deg).all()
             else:
-                assert dataclasses.replace(after, wall_seconds=0.0) == \
-                    dataclasses.replace(before, wall_seconds=0.0)
+                assert after == before
         assert results_csv(hit.rows) != results_csv(clean.rows)
 
 
@@ -819,8 +819,9 @@ class TestSerialization:
         assert len(text.splitlines()) == 3
 
     def test_manifest(self):
-        text = run_manifest(MINI, {"results": "x.csv"})
-        data = json.loads(text)
+        seconds = {"simulate": 0.5, METHOD_NONE: 0.25, "music": 1.0}
+        data = json.loads(run_manifest(MINI, {"results": "x.csv"}, seconds))
+        assert data["stage_seconds"] == seconds
         assert data["package"] == "sparsedoa"
         assert data["rng_algorithm"] == "PCG64"
         assert data["config"]["m"] == MINI.m

@@ -29,6 +29,19 @@ class TestSourceScene:
         with pytest.raises(ValueError):
             SourceScene((10.0,), (-1.0,), 0.1)
 
+    @pytest.mark.parametrize("powers, noise_power", [
+        ((np.nan,), 1.0), ((np.inf,), 1.0), ((1.0,), np.nan), ((1.0,), np.inf), ((1.0,), -1.0),
+    ])
+    def test_non_finite_or_negative_power_rejected(self, powers, noise_power):
+        # a NaN scene built and simulated NaN snapshots with no error
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            SourceScene((10.0,), powers, noise_power)
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_snr_without_a_finite_noise_power_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            scene_from_snr((10.0,), snr_db)
+
     def test_snr_convention(self):
         scene = scene_from_snr((0.0,), 10.0)
         assert scene.powers == (1.0,)

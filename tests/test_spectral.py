@@ -210,6 +210,16 @@ class TestPickPeaks:
         assert self._spectrum(values).grid[10] in peaks.angles_deg
         assert len(peaks.angles_deg) == 3
 
+    def test_padding_fills_the_whole_grid(self):
+        peaks = pick_peaks(self._spectrum([1.0, 3.0, 2.0]), 3)
+        assert peaks.resolution_failure and len(peaks.angles_deg) == 3
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_the_grid_rejected(self, k):
+        # k=4 on 3 angles returned 3 estimates, and the sweep failed only in doa_mse
+        with pytest.raises(ValueError, match=f"k={k} must lie in 1..3"):
+            pick_peaks(self._spectrum([1.0, 3.0, 2.0]), k)
+
 
 class TestDoaMse:
     def test_zero_error(self):
