@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep over the SNR grid")
     _add_common(p)
-    p.add_argument("--workers", type=int, help="parallel trial workers")
+    p.add_argument("--workers", type=int,
+                   help="sweep processes: the caller and N - 1 forked children")
     p.add_argument("--records", action="store_true", help="also write per-trial records")
     p.add_argument("--hybrid-model")
     p.add_argument("--data-driven-model")

@@ -12,7 +12,6 @@ the TrialRecord list.
 
 from __future__ import annotations
 
-import concurrent.futures
 import ctypes
 import dataclasses
 import json
@@ -356,8 +355,7 @@ def run_trial(config: ExperimentConfig, method: str, snr_db: float, trial: int,
     return record
 
 
-_WORKER_CTX: dict = {}
-_WORKER_BLAS_THREADS = 1  # the workers already share the cores; more would oversubscribe them
+_WORKER_BLAS_THREADS = 1  # the caller and its children share the cores; more would oversubscribe
 
 
 def _blas_threads():
@@ -372,20 +370,23 @@ def _blas_threads():
     return get, set_
 
 
-def _init_worker(config: ExperimentConfig, models) -> None:
-    _WORKER_CTX.update(config=config, models=models)  # the BLAS thread count is inherited
+def _pool_block(config: ExperimentConfig, models, items):
+    return _run_block(config, config.estimation_methods, items, models, config.wants_crb)
 
 
-def _pool_block(items) -> tuple[list[TrialRecord], list[float], dict[str, float]]:
-    config = _WORKER_CTX["config"]
-    return _run_block(config, config.estimation_methods, items, _WORKER_CTX["models"],
-                      config.wants_crb)
+def _send_share(conn, config: ExperimentConfig, models, blocks) -> None:
+    """A forked child's one message: its blocks' outcomes, or the exception that stopped them."""
+    try:
+        conn.send([_pool_block(config, models, block) for block in blocks])
+    except Exception as exc:
+        conn.send(exc)
 
 
 @dataclass
 class SweepResult:
     """Aggregated sweep table, every trial record, and each stage's seconds summed over the
-    blocks: under a pool, the workers' seconds, whose sum can exceed the wall time."""
+    blocks: with workers, every process's seconds, the caller's share included, whose sum
+    can exceed the wall time."""
 
     rows: list[dict]
     records: list[TrialRecord]
@@ -400,9 +401,12 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
     by their indices alone; a block simulates each of its scenes once and runs
     all configured methods on them. Blocks are reduced in order, so the
     aggregated table does not depend on the worker count. With ``workers > 1``
-    (numpy's scipy-openblas only), a sweep of several blocks forks at most one
-    worker per block at one BLAS thread, set by the parent: a worker's own setter
-    call would start an OpenBLAS helper thread that spins for the worker's life.
+    (numpy's scipy-openblas only), block i of a sweep of several runs in share
+    i % workers: the caller runs share 0 and forks one child per other share, which
+    sends its outcomes (or the exception that stopped it) down a pipe. All run at one
+    BLAS thread, set by the caller before the fork: a child's own setter call would
+    start an OpenBLAS helper thread that spins for the child's life. Stage seconds
+    are every process's, the caller's share included.
     """
     _check_models(config, config.estimation_methods, models)
     workers = (config if workers is None else dataclasses.replace(config, workers=workers)).workers
@@ -415,16 +419,35 @@ def run_sweep(config: ExperimentConfig, models: dict[str, MlpModel] | None = Non
         outcomes = [_run_block(config, methods, block, models, config.wants_crb)
                     for block in blocks]
     else:
+        ctx, shares, children = multiprocessing.get_context("fork"), [], []
         parent_threads = get_threads()
         set_threads(_WORKER_BLAS_THREADS)
-        try:  # fork: initargs (the models) are not pickled; workers keep the parent's tracing
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker, initargs=(config, models),
-            ) as pool:
-                outcomes = list(pool.map(_pool_block, blocks))
-        finally:
+        try:  # fork: a child reads config and models unpickled, and keeps the caller's tracing
+            for j in range(1, workers):
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_send_share,
+                                    args=(send, config, models, blocks[j::workers]))
+                child.start()
+                children.append((child, recv))
+                send.close()
+            shares.append([_pool_block(config, models, block) for block in blocks[::workers]])
+            for child, recv in children:
+                try:
+                    shares.append(recv.recv())
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(f"sweep process {child.pid} exited with code "
+                                       f"{child.exitcode} before sending its outcomes") from None
+                if isinstance(shares[-1], BaseException):
+                    raise shares[-1]
+        finally:  # a child whose message was not read is killed: the sweep has failed
+            for j, (child, recv) in enumerate(children, 1):
+                recv.close()
+                if j >= len(shares):
+                    child.kill()
+                child.join()
             set_threads(parent_threads)
+        outcomes = [shares[i % workers][i // workers] for i in range(len(blocks))]
     all_records = [r for records, _, _ in outcomes for r in records]
     crb_diags = [c for _, diags, _ in outcomes for c in diags]
     seconds = {stage: sum(block[stage] for *_, block in outcomes) for stage in outcomes[0][2]}

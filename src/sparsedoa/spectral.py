@@ -58,16 +58,24 @@ def hermitian_eig(r):
     return np.linalg.eigh((values + adjoint) / 2.0)
 
 
-def _grid_size(step: float) -> float:
-    """The number of angles in ``music_spectrum``'s grid over [-90, 90) at ``step`` > 0."""
-    return float(np.ceil(180.0 / step - 1e-12))
+_MAX_GRID_ANGLES = 180_000  # a 0.001 deg step; the paper's 0.05 deg grid has 3,600
+
+
+def _grid_size(step: float) -> int:
+    """The number of angles in ``music_spectrum``'s grid over [-90, 90) at ``step`` > 0;
+    a grid of more than ``_MAX_GRID_ANGLES`` (or of an infinite count) is a ValueError."""
+    size = float(np.ceil(180.0 / step - 1e-12))
+    if not size <= _MAX_GRID_ANGLES:
+        raise ValueError(f"grid_step={step} gives {size:g} grid angles, more than the "
+                         f"{_MAX_GRID_ANGLES} a MUSIC grid may hold")
+    return int(size)
 
 
 @lru_cache(maxsize=16)
 def _lag_basis(dim: int, step: float):
     """The grid over [-90, 90), the real basis [1; 2 cos(pi l sin(theta)); -2 sin(pi l
     sin(theta))] (l = 1..dim-1) and the flat indices of the superdiagonals; read-only."""
-    grid = -90.0 + step * np.arange(int(_grid_size(step)))
+    grid = -90.0 + step * np.arange(_grid_size(step))
     phase = np.pi * np.outer(np.arange(1, dim), np.sin(np.deg2rad(grid)))
     basis = np.concatenate([np.ones((1, grid.size)), 2.0 * np.cos(phase), -2.0 * np.sin(phase)])
     flat = np.concatenate([np.arange(dim - lag) * (dim + 1) + lag for lag in range(dim)])

@@ -1,12 +1,13 @@
 import collections
-import concurrent.futures
 import copy
 import ctypes
 import dataclasses
 import functools
 import json
+import multiprocessing
 import os
 import re
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -59,8 +60,10 @@ MINI = preset(
 
 
 # MINI's 8 items make one block, which a sweep runs in-process at any worker count;
-# these 40 make two (32 + 8), so that a sweep at workers=2 forks two workers
+# these 40 make two (32 + 8), so that a sweep at workers=2 runs block 0 in the caller
+# and forks one child for block 1; THREE_BLOCKS' 80 make three (32 + 32 + 16)
 TWO_BLOCKS = dataclasses.replace(MINI, q_trials=20)
+THREE_BLOCKS = dataclasses.replace(MINI, q_trials=40)
 
 
 def _blas_threads() -> int:
@@ -71,17 +74,33 @@ def _blas_threads() -> int:
     return get()
 
 
-def _probe_block(out_dir, items):
-    """The pool's block function, which then writes the worker's numpy OpenBLAS thread
-    count and its number of OS threads (None without /proc) to ``out_dir/<pid>.json``."""
-    outcome = _pool_block(items)
+def _probe_block(out_dir, config, models, items):
+    """The pool's block function, which then writes the process's pid, the block's items,
+    its numpy OpenBLAS thread count and its number of OS threads (None without /proc)
+    to a file of its own in ``out_dir``."""
+    outcome = _pool_block(config, models, items)
     tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-    (out_dir / f"{os.getpid()}.json").write_text(
-        json.dumps({"blas_threads": _blas_threads(), "os_threads": tasks}))
+    (out_dir / f"{os.getpid()}-{items[0][0]}-{items[0][1]}.json").write_text(json.dumps(
+        {"pid": os.getpid(), "items": items, "blas_threads": _blas_threads(),
+         "os_threads": tasks}))
     return outcome
 
 
-def _failing_block(items):
+def _probe_records(out_dir) -> dict[int, list]:
+    """pid -> the items of each block that process ran, as ``_probe_block`` wrote them."""
+    ran = collections.defaultdict(list)
+    for path in out_dir.glob("*.json"):
+        seen = json.loads(path.read_text())
+        ran[seen["pid"]].append([tuple(item) for item in seen["items"]])
+    return {pid: sorted(blocks) for pid, blocks in ran.items()}
+
+
+def _block_items(config, index):
+    items = [(snr, trial) for snr in config.test_snrs_db for trial in range(config.q_trials)]
+    return items[index * harness._BLOCK_ITEMS:(index + 1) * harness._BLOCK_ITEMS]
+
+
+def _failing_block(config, models, items):
     raise RuntimeError("block failed")
 
 
@@ -205,6 +224,10 @@ class TestConfig:
         # a grid of 2 angles (or none) returned fewer estimates than k=3 sources
         ({"grid_step": 90.0}, "grid_step=90.0 leaves fewer grid angles than k=3"),
         ({"grid_step": float("inf")}, "grid_step=inf leaves fewer grid angles than k=3"),
+        # grids MUSIC cannot make: an infinite angle count overflowed, and 1.8e11
+        # angles (1.3 TiB of basis) ran out of memory, at the first trial
+        ({"grid_step": 5e-324}, "grid_step=5e-324 gives inf grid angles, more than the 180000"),
+        ({"grid_step": 1e-9}, r"grid_step=1e-09 gives 1\.8e\+11 grid angles, more than"),
     ])
     def test_misuse_rejected_at_build(self, overrides, match):
         # each used to build and fail only at the first step, trial or sample
@@ -366,9 +389,11 @@ class TestRunSweep:
             run_sweep(MINI, workers=workers)
 
     def test_worker_count_invariance(self):
-        seq, par = run_sweep(TWO_BLOCKS, workers=1), run_sweep(TWO_BLOCKS, workers=2)
-        assert results_csv(seq.rows) == results_csv(par.rows)
-        assert records_csv(seq.records) == records_csv(par.records)
+        # THREE_BLOCKS at workers=2 puts blocks 0 and 2 in the caller's share
+        for config, workers in ((TWO_BLOCKS, 2), (THREE_BLOCKS, 2), (THREE_BLOCKS, 3)):
+            seq, par = run_sweep(config, workers=1), run_sweep(config, workers=workers)
+            assert results_csv(seq.rows) == results_csv(par.rows), workers
+            assert records_csv(seq.records) == records_csv(par.records), workers
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_stage_seconds_sum_over_blocks(self, monkeypatch, workers):
@@ -381,15 +406,56 @@ class TestRunSweep:
         assert seconds == dict.fromkeys(stages, 2.0)
 
     def test_pool_worker_runs_one_blas_thread(self, monkeypatch, tmp_path):
-        # a worker that set its own count would start an OpenBLAS helper thread,
-        # which spins beside its main thread for the worker's whole life
+        # a child that set its own count would start an OpenBLAS helper thread,
+        # which spins beside its main thread for the child's whole life; the caller
+        # runs its own share inside the same one-thread window
         monkeypatch.setattr(harness, "_pool_block", functools.partial(_probe_block, tmp_path))
         run_sweep(TWO_BLOCKS, workers=2)
         seen = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
         assert seen and all(s["blas_threads"] == 1 for s in seen), seen
         if not os.path.isdir("/proc/self/task"):
-            pytest.skip("no /proc/self/task to count a worker's OS threads")
-        assert all(s["os_threads"] == 1 for s in seen), seen
+            pytest.skip("no /proc/self/task to count a child's OS threads")
+        children = [s for s in seen if s["pid"] != os.getpid()]
+        assert children and all(s["os_threads"] == 1 for s in children), seen
+
+    @pytest.mark.parametrize("config, workers", [(TWO_BLOCKS, 2), (THREE_BLOCKS, 3)])
+    def test_caller_runs_share_zero(self, monkeypatch, tmp_path, config, workers):
+        # block i runs in share i % workers: block 0 here, each other block in a child
+        monkeypatch.setattr(harness, "_pool_block", functools.partial(_probe_block, tmp_path))
+        run_sweep(config, workers=workers)
+        ran = _probe_records(tmp_path)
+        assert ran.pop(os.getpid()) == [_block_items(config, 0)]
+        assert len(ran) == workers - 1, ran
+        assert sorted(ran.values()) == [[_block_items(config, i)] for i in range(1, workers)]
+
+    def test_child_that_dies_is_an_error_and_is_reaped(self, monkeypatch):
+        caller = os.getpid()
+
+        def dying_block(config, models, items):
+            if os.getpid() != caller:
+                os._exit(3)
+            return _pool_block(config, models, items)
+
+        monkeypatch.setattr(harness, "_pool_block", dying_block)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_sweep(TWO_BLOCKS, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_share_error_kills_the_children(self, monkeypatch):
+        # the child would sleep a minute: only a kill ends it in time
+        caller = os.getpid()
+
+        def block(config, models, items):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(harness, "_pool_block", block)
+        tic = time.perf_counter()
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_sweep(THREE_BLOCKS, workers=3)
+        assert time.perf_counter() - tic < 20
+        assert multiprocessing.active_children() == []
 
     def test_parent_blas_threads_restored_after_the_pool(self, monkeypatch):
         # the parent runs the pool at one thread; its own count comes back, also
@@ -412,10 +478,10 @@ class TestRunSweep:
     def test_one_block_sweep_starts_no_pool(self, monkeypatch):
         serial = run_sweep(MINI, workers=1)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-block sweep started a pool")
+        def no_fork():
+            raise AssertionError("a one-block sweep forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         pooled = run_sweep(MINI, workers=2)
         assert results_csv(pooled.rows) == results_csv(serial.rows)
         assert records_csv(pooled.records) == records_csv(serial.records)

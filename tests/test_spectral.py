@@ -114,6 +114,12 @@ class TestMusicSpectrum:
         with pytest.raises(ValueError, match="stack"):
             music_spectrum(np.eye(4), 1)
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-9, float("nan")])
+    def test_rejects_a_grid_it_cannot_make(self, step):
+        # an infinite angle count overflowed, and 1.8e11 angles ran out of memory
+        with pytest.raises(ValueError, match="grid angles, more than the 180000"):
+            music_spectrum(np.eye(4)[None], 1, grid_step=step)
+
     def test_scale_invariant_peak_locations(self):
         geom = mra_lookup(5)
         r_ss = spatial_smoothing(redundancy_average(
