@@ -199,17 +199,27 @@ def build_model(variant: str, geom: ArrayGeometry, seed: int = 0) -> MlpModel:
     return model
 
 
+def _row_blocks(shape) -> list[slice]:
+    """A parameter's gradient blocks: all of it if at most ``GRAD_BLOCK`` elements, else runs of
+    two rows or more, a one-row tail joining the last (numpy runs it as a GEMV: other bits)."""
+    rows = shape[0] if math.prod(shape) <= GRAD_BLOCK else max(2, GRAD_BLOCK // shape[1])
+    cuts = [*range(0, max(shape[0] - 1, 1), rows), shape[0]]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _train_buffers(model: MlpModel, rows: int) -> dict:
     """Every array that a train-mode step of up to ``rows`` rows writes: layer inputs (the
-    first is the batch gather) and output, dropout draws (spent, they hold the backward
-    pass's ReLU masks), keep masks, deltas, and one gradient block for any layer."""
+    first is the batch gather) and output, keep masks, one dropout draw scratch (spent, it
+    takes the backward pass's ReLU masks), two delta buffers in turn, one gradient block."""
     dims, hidden, dtype = model.layer_dims, model.layer_dims[1:-1], model.flat.dtype
+    draws, *deltas = (np.empty(rows * max(w, default=0), dtype) for w in [hidden] + [dims[1:]] * 2)
     return {"inputs": [np.empty((rows, d), dtype) for d in dims],
-            "draws": [np.empty((rows, d), dtype) for d in hidden],
+            "draws": [draws[:rows * d].reshape(rows, d) for d in hidden],
             "drop_mask": [np.empty((rows, d), bool) if p else None
                           for d, p in zip(hidden + [0], model.dropout_rates)],
-            "delta": [np.empty((rows, d), dtype) for d in dims[1:]],
-            "grad": np.empty(max((a + 1) * b for a, b in zip(dims, dims[1:])), dtype)}
+            "delta": [deltas[j % 2][:rows * d].reshape(rows, d) for j, d in enumerate(dims[1:])],
+            "grad": np.empty(max(max(s.stop - s.start for s in _row_blocks((a, b))) * b
+                                 for a, b in zip(dims, dims[1:])), dtype)}
 
 
 def mlp_forward(model: MlpModel, batch: np.ndarray, train: bool = False, rng=None,
@@ -251,37 +261,39 @@ def mse_loss(output: np.ndarray, target: np.ndarray, out: np.ndarray | None = No
 
 
 def mlp_backward(model: MlpModel, cache: dict, output: np.ndarray, target: np.ndarray | None,
-                 adam: list[AdamState] | None = None) -> list[np.ndarray] | None:
-    """Exact MSE gradients, one layer's block (W_i, b_i) at a time, last layer first.
+                 adam: list[list[AdamState]] | None = None) -> list[np.ndarray] | None:
+    """Exact MSE gradients, one layer (W_i, b_i) at a time, last layer first.
 
     The loss is the mean over batch entries and features, so the output
     gradient is 2*(output - target)/(B*D); active dropout masks from the
     cached forward pass are respected. Without ``adam`` they fill a new vector laid out
-    as ``model.flat``, returned as its views. With one Adam state per layer, each block
-    goes through the cache's gradient buffer to ``adam_step`` once the delta below is
-    formed with the old weights, and no full-size gradient exists. With ``target`` None
-    the last delta buffer holds output - target already (``train`` forms it with the loss).
+    as ``model.flat``, returned as its views. With ``train``'s Adam states (per bias and weight
+    row block) each block goes through the cache's gradient buffer to ``adam_step`` once the
+    delta below is formed with the old weights. With ``target`` None, delta[-1] is output - target.
     """
     if target is not None:
         mse_loss(output, target, out=cache["delta"][-1])
-    dims, params, delta = model.layer_dims, model.parameters(), cache["delta"][-1]
-    grads = (_parameter_views(np.empty_like(model.flat), dims) if adam is None else
-             [g for pair in zip(dims, dims[1:]) for g in _parameter_views(cache["grad"], pair)])
+    params, delta, grad = model.parameters(), cache["delta"][-1], cache["grad"]
+    grads = _parameter_views(np.empty_like(model.flat), model.layer_dims) if adam is None else None
     delta *= 2.0
     delta /= output.size
     for i in range(model.n_layers - 1, -1, -1):
-        grad_w, grad_b = grads[2 * i:2 * i + 2]
-        np.matmul(cache["inputs"][i].T, delta, out=grad_w)
-        np.sum(delta, axis=0, out=grad_b)
+        above, x = delta, cache["inputs"][i]  # layer i's output delta and input
         if i > 0:
-            delta = np.matmul(delta, params[2 * i].T, out=cache["delta"][i - 1])
+            delta = np.matmul(above, params[2 * i].T, out=cache["delta"][i - 1])
             if (keep := cache["drop_mask"][i - 1]) is not None:
                 delta *= keep
                 delta /= 1.0 - model.dropout_rates[i - 1]
-            delta *= np.greater(cache["inputs"][i], 0.0, out=cache["draws"][i - 1])  # ReLU on, kept
-        if adam:
-            adam_step(adam[i], params[2 * i:2 * i + 2], [grad_w, grad_b])
-    return None if adam else grads
+            delta *= np.greater(x, 0.0, out=cache["draws"][i - 1])  # ReLU on, kept
+        bias = np.sum(above, axis=0, out=grads[2 * i + 1] if adam is None else grad[:len(above.T)])
+        if adam is None:
+            np.matmul(x.T, above, out=grads[2 * i])
+            continue
+        adam_step(adam[2 * i + 1][0], [params[2 * i + 1]], [bias])  # before grad is reused
+        for rows, state in zip(_row_blocks(params[2 * i].shape), adam[2 * i]):
+            block = grad[:state.m[0].size].reshape(state.m[0].shape)  # bits of x.T @ above's rows
+            adam_step(state, [params[2 * i][rows]], [np.matmul(x[:, rows].T, above, out=block)])
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +304,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_CHUNK = 1 << 15  # elements per Adam block: the six blocks in flight fit in cache
+GRAD_BLOCK = 1 << 19  # elements per weight-gradient block, about 2 MB of float32
 
 
 @dataclass
@@ -498,8 +511,10 @@ def train(model: MlpModel, dataset: TrainingDataset, epochs: int = 150,
 
     buffers = _train_buffers(model, min(batch_size, n_train))
     x_rows, y_rows = buffers["inputs"][0], np.empty_like(buffers["inputs"][-1])
-    params = model.parameters()
-    states = [adam_init(params[i:i + 2], lr=lr) for i in range(0, len(params), 2)]
+    m_all, v_all = (_parameter_views(np.zeros_like(model.flat), model.layer_dims) for _ in "mv")
+    scratch = np.empty((2, ADAM_CHUNK), dtype)  # one state per row block, one scratch for all
+    states = [[AdamState(m=[m[s]], v=[v[s]], scratch=scratch, lr=lr) for s in _row_blocks(m.shape)]
+              for m, v in zip(m_all, v_all)]  # views into two flat-sized moments
     rng = stream_rng(seed, "train", model.variant)
     history: list[EpochStats] = []
     model.meta.update({

@@ -22,12 +22,15 @@ from sparsedoa.neural import (
     ADAM_BETA2,
     ADAM_CHUNK,
     ADAM_EPS,
+    AdamState,
     DATA_DRIVEN,
+    GRAD_BLOCK,
     HYBRID,
     MlpModel,
     ScenePolicy,
     TrainingDataset,
     TrainingDiverged,
+    _row_blocks,
     adam_init,
     adam_step,
     build_model,
@@ -636,6 +639,51 @@ class TestTrain:
             assert trained.flat.dtype == dtype
             assert trained.flat.tobytes() == oracle.flat.tobytes()
 
+    @pytest.mark.parametrize("fan_in, heights", [(1300, [524, 524, 252]), (1049, [524, 525])])
+    def test_matches_the_allocating_oracle_bytes_over_row_blocks(self, fan_in, heights):
+        # a fan_in x 1000 weight is more than GRAD_BLOCK elements: it goes to Adam in row
+        # blocks of 524 and a short tail, or with an odd fan_in whose tail would be one row,
+        # that row joins the last block; each block is the bits of those rows of the product
+        dims = [24, fan_in, 1000, 24]
+        assert [len(range(fan_in)[rows]) for rows in _row_blocks((fan_in, 1000))] == heights
+        for dtype in (np.float32, np.float64):
+            trained, oracle = (tiny_model(dims, [0.2, 0.4, 0.0], np.random.default_rng(5))
+                               for _ in range(2))
+            trained.flat, oracle.flat = trained.flat.astype(dtype), oracle.flat.astype(dtype)
+            rng = np.random.default_rng(6)
+            dataset = TrainingDataset(inputs=rng.standard_normal((45, 24)),
+                                      targets=rng.standard_normal((45, 24)), meta={})
+            history = train(trained, dataset, epochs=3, batch_size=16, seed=2)
+            expected = train_oracle(oracle, dataset, epochs=3, batch_size=16, split=0.8, seed=2,
+                                    lr=1e-3)
+            assert [(h.train_mse, h.val_mse) for h in history] == \
+                [(h.train_mse, h.val_mse) for h in expected]
+            assert trained.flat.tobytes() == oracle.flat.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fan_in", [1300, 1049])
+    def test_adam_gets_the_rows_of_the_whole_gradient(self, monkeypatch, fan_in, dtype):
+        # Adam's normalised step hides last-bit differences in a gradient, so compare the
+        # blocks themselves: each bias and weight row block handed to adam_step has the
+        # bytes of those rows of the whole-layer gradient (a one-row GEMV block would not)
+        model = tiny_model([24, fan_in, 1000, 24], [0.2, 0.4, 0.0], np.random.default_rng(5))
+        model.flat = model.flat.astype(dtype)
+        rng = np.random.default_rng(7)
+        x, target = (rng.standard_normal((64, 24)).astype(dtype) for _ in range(2))
+        out, cache = mlp_forward(model, x, train=True, rng=rng)
+        handed = []
+        monkeypatch.setattr("sparsedoa.neural.adam_step",
+                            lambda state, params, grads: handed.append(grads[0].copy()))
+        states = [[AdamState(m=[p[rows]], v=[p[rows]], scratch=None, lr=0.0)
+                   for rows in _row_blocks(p.shape)] for p in model.parameters()]
+        mlp_backward(model, cache, out, target, adam=states)
+        grads = mlp_backward(model, cache, out, target)
+        expected = [block for i in range(model.n_layers - 1, -1, -1) for block in
+                    [grads[2 * i + 1]] + [grads[2 * i][rows] for rows in
+                                          _row_blocks(grads[2 * i].shape)]]
+        assert len(handed) == len(expected) == 2 + 2 + (len(_row_blocks((fan_in, 1000))) + 1)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(handed, expected))
+
     def test_zero_epochs_rejected(self):
         # used to return an empty history and leave a fitted but untrained model
         model = tiny_model([8, 8], [0.0], np.random.default_rng(1))
@@ -862,10 +910,10 @@ class TestFlatParameters:
         assert again.read_bytes() == data
 
     def test_training_holds_no_full_size_gradient(self):
-        # Adam's two moments are flat-sized; the gradient exists one layer's block at a
-        # time. The slack covers each layer's Adam scratch (two blocks per state), the row
-        # buffers and the normalized split of 20 rows. A full gradient would add another
-        # flat.nbytes.
+        # Adam's two moments are flat-sized; the gradient exists one row block at a time,
+        # and every desk layer is one block. The slack covers the Adam scratch (two blocks
+        # of ADAM_CHUNK, shared by every state), the row buffers and the normalized split
+        # of 20 rows. A full gradient would add another flat.nbytes.
         model = build_model(HYBRID, GEOM5, seed=0)
         rng = np.random.default_rng(0)
         dataset = TrainingDataset(inputs=rng.uniform(0, 1, (20, model.d_in)),
@@ -881,6 +929,29 @@ class TestFlatParameters:
         finally:
             tracemalloc.stop()
         assert peak < 2 * model.flat.nbytes + largest_block + slack
+
+    def test_training_holds_one_gradient_block_of_a_wide_layer(self):
+        # the 1300 x 1000 weight (5.2 MB in float32) reaches Adam in row blocks of at most
+        # GRAD_BLOCK elements through one buffer, so training holds Adam's two flat-sized
+        # moments, one gradient block and a slack of 1 MB: the Adam scratch (256 kB), the
+        # row buffers of 8 rows and the split of 20. A whole-layer gradient buffer would
+        # add 3.1 MB more than the block.
+        model = tiny_model([16, 1300, 1000, 16], [0.2, 0.4, 0.0], np.random.default_rng(3))
+        model.flat = model.flat.astype(np.float32)
+        rng = np.random.default_rng(0)
+        dataset = TrainingDataset(inputs=rng.uniform(0, 1, (20, 16)),
+                                  targets=rng.uniform(0, 1, (20, 16)), meta={})
+        block = GRAD_BLOCK * model.flat.itemsize
+        assert model.weights[1].nbytes - block > 3_000_000
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            train(model, dataset, epochs=1, batch_size=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * model.flat.nbytes + block + (1 << 20)
 
     def test_backward_returns_views_of_one_new_vector(self):
         model = tiny_model([4, 4, 4, 8, 8, 8], [0.2, 0.2, 0.2, 0.2, 0.0],
@@ -907,8 +978,13 @@ class TestDtype:
         assert mlp_forward(model, x).dtype == dtype
         out, cache = mlp_forward(model, x, train=True, rng=rng)
         assert out.dtype == dtype
+        # the hidden layers' draws are views of one scratch, the deltas of two buffers
+        # taken in turn from the output down, and one gradient block serves every layer
+        draws, deltas = ({id(a.base): a.base for a in cache[key]} for key in ("draws", "delta"))
+        assert len(draws) == 1 and len(deltas) == 2
+        assert cache["delta"][-1].base is not cache["delta"][-2].base
         arrays = cache["inputs"] + cache["draws"] + cache["delta"] + [cache["grad"]]
-        assert all(a.dtype == dtype for a in arrays)
+        assert all(a.dtype == dtype for a in arrays + [*draws.values(), *deltas.values()])
         grads = mlp_backward(model, cache, out, rng.uniform(0, 1, out.shape))
         assert all(g.dtype == dtype for g in grads)
         state = adam_init(model.parameters(), lr=1e-3)
